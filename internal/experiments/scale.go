@@ -118,13 +118,18 @@ func (d *scaleDriver) Receive(env *sim.Env, from sim.NodeID, iface string, msg s
 func scaleIMSI(i int) gsmid.IMSI     { return gsmid.IMSI(fmt.Sprintf("46692%010d", i+1)) }
 func scaleMSISDN(i int) gsmid.MSISDN { return gsmid.MSISDN(fmt.Sprintf("8869%08d", i+1)) }
 
-// RunScale attaches `subs` subscribers to a core-only topology and measures
-// bytes/subscriber, attach throughput, call-setup throughput at full
-// residency, mobility-churn throughput, and full detach recycling.
-func RunScale(seed int64, subs int) (ScalePoint, error) {
-	if subs < 4 {
-		return ScalePoint{}, fmt.Errorf("experiments: scale needs at least 4 subscribers, got %d", subs)
-	}
+// scaleCoreNet is the core-only scale topology: HLR, VLR, SGSN and GGSN
+// driven by one LOAD node.
+type scaleCoreNet struct {
+	env  *sim.Env
+	h    *hlr.HLR
+	v    *vlr.VLR
+	sgsn *gprs.SGSN
+	ggsn *gprs.GGSN
+	d    *scaleDriver
+}
+
+func newScaleCoreNet(seed int64, subs int) *scaleCoreNet {
 	env := sim.NewEnv(seed)
 	h := hlr.New(hlr.Config{ID: "HLR"})
 	v := vlr.New(vlr.Config{
@@ -146,6 +151,18 @@ func RunScale(seed int64, subs int) (ScalePoint, error) {
 	env.Connect("SGSN-1", "HLR", "Gr", lat)
 	env.Connect("SGSN-1", "GGSN-1", "Gn", lat)
 	env.Connect("GGSN-1", "HLR", "Gc", lat)
+	return &scaleCoreNet{env: env, h: h, v: v, sgsn: sgsn, ggsn: ggsn, d: d}
+}
+
+// RunScale attaches `subs` subscribers to a core-only topology and measures
+// bytes/subscriber, attach throughput, call-setup throughput at full
+// residency, mobility-churn throughput, and full detach recycling.
+func RunScale(seed int64, subs int) (ScalePoint, error) {
+	if subs < 4 {
+		return ScalePoint{}, fmt.Errorf("experiments: scale needs at least 4 subscribers, got %d", subs)
+	}
+	t := newScaleCoreNet(seed, subs)
+	env, h, v, sgsn, ggsn, d := t.env, t.h, t.v, t.sgsn, t.ggsn, t.d
 
 	var p ScalePoint
 	p.Subs = subs

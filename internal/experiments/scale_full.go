@@ -118,20 +118,21 @@ func (d *fullDriver) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 	}
 }
 
-// RunScaleFull attaches `subs` subscribers through the complete Fig 2(b)
-// topology — real VMSC, VLR, HLR, SGSN, GGSN, GI router, and gatekeeper —
-// and measures bytes/subscriber at full residency, registration throughput,
-// end-to-end call-setup throughput, and full recycling via CancelLocation.
-func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
-	var p ScaleFullPoint
-	p.Topology = "full-stack"
-	p.Subs = subs
-	p.GoMaxProcs = runtime.GOMAXPROCS(0)
-	p.NumCPU = runtime.NumCPU()
-	if subs < 8 {
-		return p, fmt.Errorf("experiments: full-stack scale needs at least 8 subscribers, got %d", subs)
-	}
+// scaleFullNet is the full-stack scale topology: the Fig 2(b) core with
+// the VMSC, GI router and gatekeeper, driven by one LOAD node.
+type scaleFullNet struct {
+	env  *sim.Env
+	dir  *h323.Directory
+	h    *hlr.HLR
+	v    *vlr.VLR
+	sgsn *gprs.SGSN
+	ggsn *gprs.GGSN
+	gk   *h323.Gatekeeper
+	vm   *vmsc.VMSC
+	d    *fullDriver
+}
 
+func newScaleFullNet(seed int64, subs int) *scaleFullNet {
 	env := sim.NewEnv(seed)
 	dir := h323.NewDirectory()
 	h := hlr.New(hlr.Config{ID: "HLR"})
@@ -170,6 +171,25 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 	env.Connect("GGSN-1", "HLR", "Gc", lat)
 	env.Connect("GGSN-1", "GI", "Gi", lat)
 	env.Connect("GI", "GK", "IP", lat)
+	return &scaleFullNet{env: env, dir: dir, h: h, v: v, sgsn: sgsn, ggsn: ggsn, gk: gk, vm: vm, d: d}
+}
+
+// RunScaleFull attaches `subs` subscribers through the complete Fig 2(b)
+// topology — real VMSC, VLR, HLR, SGSN, GGSN, GI router, and gatekeeper —
+// and measures bytes/subscriber at full residency, registration throughput,
+// end-to-end call-setup throughput, and full recycling via CancelLocation.
+func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
+	var p ScaleFullPoint
+	p.Topology = "full-stack"
+	p.Subs = subs
+	p.GoMaxProcs = runtime.GOMAXPROCS(0)
+	p.NumCPU = runtime.NumCPU()
+	if subs < 8 {
+		return p, fmt.Errorf("experiments: full-stack scale needs at least 8 subscribers, got %d", subs)
+	}
+
+	t := newScaleFullNet(seed, subs)
+	env, dir, h, v, sgsn, ggsn, gk, vm, d := t.env, t.dir, t.h, t.v, t.sgsn, t.ggsn, t.gk, t.vm, t.d
 	dirBase := dir.Bound()
 
 	// attachWave provisions and fully registers subscribers [lo, hi): one

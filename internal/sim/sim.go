@@ -239,6 +239,14 @@ func (e *Env) AddNode(n Node) {
 // Node returns the registered node with the given ID, or nil.
 func (e *Env) Node(id NodeID) Node { return e.w.nodes[id] }
 
+// Nodes returns every registered node in registration order — the order
+// that fixes each node's event-key context and RNG stream. The slice is
+// shared with the environment and must not be modified.
+func (e *Env) Nodes() []Node {
+	l := e.w.list
+	return l[1:len(l):len(l)]
+}
+
 // ShardCount returns the number of shards the event loop is partitioned
 // across (1 for a sequential environment).
 func (e *Env) ShardCount() int { return len(e.w.shards) }

@@ -42,6 +42,26 @@ func newPair(t *testing.T, latency time.Duration) (*Env, *recorderNode, *recorde
 	return env, a, b
 }
 
+// TestNodesRegistrationOrder checks that Nodes lists nodes in AddNode
+// order, independent of shard placement, and that appending to the result
+// cannot clobber the environment's registry.
+func TestNodesRegistrationOrder(t *testing.T) {
+	env := NewShardedEnv(1, 2)
+	for _, id := range []NodeID{"c", "a", "b"} {
+		env.AddNode(&recorderNode{id: id})
+	}
+	env.AssignShard("a", 1)
+	nodes := env.Nodes()
+	if len(nodes) != 3 || nodes[0].ID() != "c" || nodes[1].ID() != "a" || nodes[2].ID() != "b" {
+		t.Fatalf("Nodes() order = %v", nodes)
+	}
+	_ = append(nodes, &recorderNode{id: "x"})
+	env.AddNode(&recorderNode{id: "d"})
+	if got := env.Nodes(); len(got) != 4 || got[3].ID() != "d" {
+		t.Fatalf("Nodes() after append = %v", got)
+	}
+}
+
 func TestSendDeliversAfterLatency(t *testing.T) {
 	env, _, b := newPair(t, 5*time.Millisecond)
 	env.Send("a", "b", testMsg{"hello"})
