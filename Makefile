@@ -8,7 +8,7 @@ GO ?= go
 # under testdata/fuzz/.
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/
 
-.PHONY: all build vet test race check bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full bench-media bench-json fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-media bench-json fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -81,22 +81,16 @@ bench-scenarios:
 bench-media:
 	$(GO) run ./cmd/vgprs-bench -only media -json
 
-# Slab-backed core scale point (bytes/subscriber, attach and call-setup
-# throughput at full residency), written to BENCH_scale.json in the working
-# dir. CI runs the 100k point; the committed artifact also carries 500k and
-# 1M (make bench-scale SCALE_SUBS=100000,500000,1000000).
+# Scale sweep, written to BENCH_scale.json in the working dir: each
+# population attached first to the slab-backed core alone (bytes/subscriber,
+# attach, call-setup and churn throughput at full residency), then through
+# the complete Fig 2(b) topology (VMSC, VLR, HLR, SGSN, GGSN, gatekeeper,
+# directory) with end-to-end call setup; both end with the cancel-all
+# recycle audit. CI runs the 100k point; the committed artifact also
+# carries 500k and 1M (make bench-scale SCALE_SUBS=100000,500000,1000000).
 SCALE_SUBS ?= 100000
 bench-scale:
-	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs $(SCALE_SUBS) -scale-full-subs none -json
-
-# Full-stack scale point: the same populations attached through the complete
-# Fig 2(b) topology (VMSC, VLR, HLR, SGSN, GGSN, gatekeeper, directory) with
-# end-to-end call setup at full residency. CI runs the 100k point; the
-# committed artifact also carries 500k and 1M (make bench-scale-full
-# SCALE_FULL_SUBS=100000,500000,1000000).
-SCALE_FULL_SUBS ?= 100000
-bench-scale-full:
-	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs none -scale-full-subs $(SCALE_FULL_SUBS) -json
+	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs $(SCALE_SUBS) -json
 
 # Machine-readable experiment results (BENCH_<id>.json in the working dir).
 bench-json:

@@ -39,9 +39,7 @@ func run(args []string) int {
 	jsonOut := fs.Bool("json", false, "also write per-experiment results to BENCH_<id>.json")
 	outDir := fs.String("out", ".", "directory for -json output files")
 	scaleSubs := fs.String("scale-subs", "100000",
-		"comma-separated population sizes for the core scale sweep (none to skip)")
-	scaleFullSubs := fs.String("scale-full-subs", "100000",
-		"comma-separated population sizes for the full-stack scale sweep (none to skip)")
+		"comma-separated population sizes for the scale sweep, run core-only and full-stack (none to skip)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -62,148 +60,73 @@ func run(args []string) int {
 	}
 	suite := []experiment{
 		{"F1", func() (fmt.Stringer, any, error) {
-			r, err := experiments.RunF1Attach(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.F1Table(r), r, nil
+			return report(experiments.F1Table)(experiments.RunF1Attach(*seed))
 		}},
 		{"F4", func() (fmt.Stringer, any, error) {
-			r, err := experiments.RunF4Registration(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.F4Table(r), r, nil
+			return report(experiments.F4Table)(experiments.RunF4Registration(*seed))
 		}},
 		{"C1", func() (fmt.Stringer, any, error) {
-			r, err := experiments.RunC1SetupComparison(*seed, *calls)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.C1Table(r), r, nil
+			return report(experiments.C1Table)(experiments.RunC1SetupComparison(*seed, *calls))
 		}},
 		{"C2", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunC2ContextResidency(*seed, []int{1, 10, 50, 100})
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.C2Table(points), points, nil
+			return report(experiments.C2Table)(experiments.RunC2ContextResidency(*seed, []int{1, 10, 50, 100}))
 		}},
 		{"C3", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunC3VoiceQuality(*seed, 10*time.Second,
-				[]time.Duration{0, 10 * time.Millisecond, 30 * time.Millisecond})
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.C3Table(points), points, nil
+			return report(experiments.C3Table)(experiments.RunC3VoiceQuality(*seed, 10*time.Second,
+				[]time.Duration{0, 10 * time.Millisecond, 30 * time.Millisecond}))
 		}},
 		{"C5", func() (fmt.Stringer, any, error) {
-			results, err := experiments.RunC5SignallingLoad(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.C5Table(results), results, nil
+			return report(experiments.C5Table)(experiments.RunC5SignallingLoad(*seed))
 		}},
 		{"F7F8", func() (fmt.Stringer, any, error) {
-			entries, err := experiments.RunF7F8Tromboning(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.TromboneTable(entries), entries, nil
+			return report(experiments.TromboneTable)(experiments.RunF7F8Tromboning(*seed))
 		}},
 		{"F9", func() (fmt.Stringer, any, error) {
-			r, err := experiments.RunF9Handoff(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.F9Table(r), r, nil
+			return report(experiments.F9Table)(experiments.RunF9Handoff(*seed))
 		}},
 		{"A1", func() (fmt.Stringer, any, error) {
-			results, err := experiments.RunA1RegistrationAblation(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.A1Table(results), results, nil
+			return report(experiments.A1Table)(experiments.RunA1RegistrationAblation(*seed))
 		}},
 		{"A2", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunA2VocoderCost(*seed, 3*time.Second,
+			return report(experiments.A2Table)(experiments.RunA2VocoderCost(*seed, 3*time.Second,
 				[]time.Duration{500 * time.Microsecond, time.Millisecond,
-					2 * time.Millisecond, 5 * time.Millisecond})
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.A2Table(points), points, nil
+					2 * time.Millisecond, 5 * time.Millisecond}))
 		}},
 		{"A3", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunA3RadioLatencySweep(*seed,
+			return report(experiments.A3Table)(experiments.RunA3RadioLatencySweep(*seed,
 				[]time.Duration{5 * time.Millisecond, 10 * time.Millisecond,
-					20 * time.Millisecond, 40 * time.Millisecond})
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.A3Table(points), points, nil
+					20 * time.Millisecond, 40 * time.Millisecond}))
 		}},
 		{"R1", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunR1RegistrationStorm(*seed,
-				[]struct{ MS, TCH int }{{10, 4}, {25, 4}, {50, 8}, {100, 16}})
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.R1Table(points), points, nil
+			return report(experiments.R1Table)(experiments.RunR1RegistrationStorm(*seed,
+				[]struct{ MS, TCH int }{{10, 4}, {25, 4}, {50, 8}, {100, 16}}))
 		}},
 		{"loss", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunLossSweep(*seed,
-				[]float64{0, 0.05, 0.10, 0.20}, 20)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.LossTable(points), points, nil
+			return report(experiments.LossTable)(experiments.RunLossSweep(*seed,
+				[]float64{0, 0.05, 0.10, 0.20}, 20))
 		}},
 		{"registration", func() (fmt.Stringer, any, error) {
 			r := runRegistrationBench(*seed)
 			return r, r, nil
 		}},
 		{"engine", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunEngineScaling(*seed,
-				engineRegions, engineMSPerRegion, engineReps, []int{1, 2, 4, 8})
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.EngineTable(points), points, nil
+			return report(experiments.EngineTable)(experiments.RunEngineScaling(*seed,
+				engineRegions, engineMSPerRegion, engineReps, []int{1, 2, 4, 8}))
 		}},
 		{"scenarios", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunScenarioSweep(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.ScenarioTable(points), points, nil
+			return report(experiments.ScenarioTable)(experiments.RunScenarioSweep(*seed))
 		}},
 		{"media", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunMediaSweep(*seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.MediaTable(points), points, nil
+			return report(experiments.MediaTable)(experiments.RunMediaSweep(*seed))
 		}},
 		{"scale", func() (fmt.Stringer, any, error) {
-			coreSizes, err := parseSizes(*scaleSubs)
+			sizes, err := parseSizes(*scaleSubs)
 			if err != nil {
 				return nil, nil, err
 			}
-			fullSizes, err := parseSizes(*scaleFullSubs)
+			r, err := experiments.RunScaleSweep(*seed, sizes)
 			if err != nil {
 				return nil, nil, err
-			}
-			var r scaleBenchResult
-			if len(coreSizes) > 0 {
-				if r.Core, err = experiments.RunScaleSweep(*seed, coreSizes); err != nil {
-					return nil, nil, err
-				}
-			}
-			if len(fullSizes) > 0 {
-				if r.FullStack, err = experiments.RunScaleFullSweep(*seed, fullSizes); err != nil {
-					return nil, nil, err
-				}
 			}
 			return r, r, nil
 		}},
@@ -232,6 +155,17 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// report turns an experiment's (result, error) into the suite's (table,
+// raw result, error), rendering the table with the given function.
+func report[T any, S fmt.Stringer](table func(T) S) func(T, error) (fmt.Stringer, any, error) {
+	return func(r T, err error) (fmt.Stringer, any, error) {
+		if err != nil {
+			return nil, nil, err
+		}
+		return table(r), r, nil
+	}
 }
 
 // registrationBenchMS is the population size the registration benchmark
@@ -295,29 +229,8 @@ func runRegistrationBench(seed int64) RegistrationBenchResult {
 	return out
 }
 
-// scaleBenchResult is the combined payload of the scale experiment: the
-// core-topology sweep and the full Fig 2(b) stack sweep, either of which can
-// be skipped with "none" so bench-scale and bench-scale-full stay
-// independently schedulable.
-type scaleBenchResult struct {
-	Core      []experiments.ScalePoint     `json:"core,omitempty"`
-	FullStack []experiments.ScaleFullPoint `json:"full_stack,omitempty"`
-}
-
-// String renders whichever sweeps ran as their report tables.
-func (r scaleBenchResult) String() string {
-	var parts []string
-	if len(r.Core) > 0 {
-		parts = append(parts, experiments.ScaleTable(r.Core).String())
-	}
-	if len(r.FullStack) > 0 {
-		parts = append(parts, experiments.ScaleFullTable(r.FullStack).String())
-	}
-	return strings.Join(parts, "\n\n")
-}
-
 // parseSizes parses a population-size list; "none" (or empty) selects no
-// sizes, skipping that sweep.
+// sizes, skipping the sweep.
 func parseSizes(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || strings.EqualFold(s, "none") {

@@ -63,8 +63,8 @@ func TestTopologyGolden(t *testing.T) {
 	dumpTopology(&b, "BuildDay shards=3", netsim.BuildDay(netsim.DayOptions{VGPRSOptions: vg(3), DataMS: 2}).Env)
 	dumpTopology(&b, "BuildRoamingGSM", netsim.BuildRoamingGSM(1).Env)
 	dumpTopology(&b, "BuildRoamingVGPRS", netsim.BuildRoamingVGPRS(1).Env)
-	dumpTopology(&b, "scale core-only", newScaleCoreNet(1, 10).env)
-	dumpTopology(&b, "scale full-stack", newScaleFullNet(1, 10).env)
+	dumpTopology(&b, "scale core-only", netsim.BuildScale(1, 10, false, &loadNode{}).Env)
+	dumpTopology(&b, "scale full-stack", netsim.BuildScale(1, 10, true, &loadNode{}).Env)
 	got := b.String()
 
 	if os.Getenv("UPDATE_GOLDEN") != "" {

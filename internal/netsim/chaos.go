@@ -154,17 +154,16 @@ func MediaChaosPlan(loss float64, jitter time.Duration, from, until time.Duratio
 }
 
 // SignallingRetransmits sums the retransmission counters of every
-// signalling plane in the network: MAP dialogues at the VMSC, VLR, HLR,
-// SGSN and GGSN, GTP transactions at the SGSN, the VMSC's GMM/SM clients
-// and RAS/Q.931 state machines, and the H.323 terminals.
+// signalling element in the network — MAP dialogues at the VMSCs, VLRs,
+// HLR, SGSNs and GGSN, GTP transactions at the SGSNs, the VMSCs' GMM/SM
+// clients and RAS/Q.931 state machines, and the H.323 terminals — by
+// walking the built nodes.
 func (n *VGPRSNet) SignallingRetransmits() uint64 {
-	total := n.VMSC.Retransmits() +
-		n.VLR.Retransmits() +
-		n.HLR.Retransmits() +
-		n.SGSN.Retransmits() +
-		n.GGSN.Retransmits()
-	for _, t := range n.Terminals {
-		total += t.Retransmits()
+	var total uint64
+	for _, node := range n.Env.Nodes() {
+		if r, ok := node.(interface{ Retransmits() uint64 }); ok {
+			total += r.Retransmits()
+		}
 	}
 	return total
 }
@@ -215,10 +214,11 @@ func ChaosSigProfile() *SigProfile {
 }
 
 // chaosNet builds a BuildVGPRS network with the chaos retransmission
-// profile armed on every plane and the fault plan applied at t=0. A shards
-// value above 1 runs the scenario on the sharded engine with the default
-// core/radio partition.
-func chaosNet(seed int64, numMS, shards int, plan FaultPlan) (*VGPRSNet, error) {
+// profile armed on every plane and the fault plan applied at t=0, powers
+// on every MS and terminal, and runs until they have registered or the
+// chaos window closes, reporting which. A shards value above 1 runs the
+// scenario on the sharded engine with the default core/radio partition.
+func chaosNet(seed int64, numMS, shards int, plan FaultPlan) (*VGPRSNet, bool, error) {
 	n := BuildVGPRS(VGPRSOptions{
 		Seed:    seed,
 		NumMS:   numMS,
@@ -227,9 +227,15 @@ func chaosNet(seed int64, numMS, shards int, plan FaultPlan) (*VGPRSNet, error) 
 		Shards:  shards,
 	})
 	if err := plan.Apply(n.Env); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return n, nil
+	for _, term := range n.Terminals {
+		term.Register(n.Env)
+	}
+	for _, ms := range n.MSs {
+		ms.PowerOn(n.Env)
+	}
+	return n, runUntilDone(n.Env, chaosWindow, n.registered), nil
 }
 
 // chaosWindow bounds each chaos procedure. The H.323 budget exhausts
@@ -287,22 +293,14 @@ func RunChaosRegistration(seed int64, plan FaultPlan) (ChaosResult, error) {
 // Results are identical at any shard count — the determinism tests compare
 // them directly.
 func RunChaosRegistrationSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, error) {
-	n, err := chaosNet(seed, 1, shards, plan)
+	n, ok, err := chaosNet(seed, 1, shards, plan)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	start := n.Env.Now()
-	for _, term := range n.Terminals {
-		term.Register(n.Env)
-	}
-	for _, ms := range n.MSs {
-		ms.PowerOn(n.Env)
-	}
-	ok := runUntilDone(n.Env, chaosWindow, n.registered)
 	res := ChaosResult{
 		Registered:  ok,
 		Retransmits: n.SignallingRetransmits(),
-		Elapsed:     n.Env.Now() - start,
+		Elapsed:     n.Env.Now(),
 	}
 	if !ok {
 		return res, &ProcedureError{
@@ -323,17 +321,11 @@ func RunChaosCall(seed int64, plan FaultPlan) (ChaosResult, error) {
 
 // RunChaosCallSharded is RunChaosCall on a sharded engine.
 func RunChaosCallSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, error) {
-	n, err := chaosNet(seed, 2, shards, plan)
+	n, ok, err := chaosNet(seed, 2, shards, plan)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	for _, term := range n.Terminals {
-		term.Register(n.Env)
-	}
-	for _, ms := range n.MSs {
-		ms.PowerOn(n.Env)
-	}
-	if !runUntilDone(n.Env, chaosWindow, n.registered) {
+	if !ok {
 		return ChaosResult{
 				Retransmits: n.SignallingRetransmits(),
 				Elapsed:     n.Env.Now(),
@@ -352,7 +344,7 @@ func RunChaosCallSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, e
 	inCall := func() bool {
 		return caller.State() == gsm.MSInCall && callee.State() == gsm.MSInCall
 	}
-	ok := runUntilDone(n.Env, chaosWindow, inCall)
+	ok = runUntilDone(n.Env, chaosWindow, inCall)
 	res := ChaosResult{
 		Registered:    true,
 		CallConnected: ok,

@@ -7,13 +7,10 @@ import (
 
 	"vgprs/internal/gprs"
 	"vgprs/internal/gsm"
-	"vgprs/internal/gsmid"
 	"vgprs/internal/h323"
-	"vgprs/internal/hlr"
 	"vgprs/internal/ipnet"
 	"vgprs/internal/isup"
 	"vgprs/internal/pstn"
-	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 )
 
@@ -75,9 +72,8 @@ func BuildDay(opts DayOptions) *DayNet {
 	if opts.DataMS > opts.NumMS {
 		opts.DataMS = opts.NumMS
 	}
-	answerDelay := opts.AutoAnswerDelay
-	if answerDelay == 0 {
-		answerDelay = 200 * time.Millisecond
+	if opts.AutoAnswerDelay == 0 {
+		opts.AutoAnswerDelay = 200 * time.Millisecond
 	}
 
 	// Unregistered Hong-Kong-style local numbers (852…) break out to the
@@ -92,141 +88,68 @@ func BuildDay(opts DayOptions) *DayNet {
 		cfg.PSTNPrefixes = append(cfg.PSTNPrefixes, "852")
 	}
 
-	base := BuildTwoVMSC(opts.VGPRSOptions)
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-
+	t, base := twoVMSCTopo(opts.VGPRSOptions)
 	n := &DayNet{
 		TwoVMSCNet:  base,
-		LocalTrunks: isup.NewTrunkGroup("LE-1<->GW-1", isup.TrunkLocal, 16),
-		IntlTrunks:  isup.NewTrunkGroup("LE-1<->GMSC-UK", isup.TrunkInternational, 16),
+		LocalTrunks: t.trunk("LE-1<->GW-1", isup.TrunkLocal, 16),
+		IntlTrunks:  t.trunk("LE-1<->GMSC-UK", isup.TrunkInternational, 16),
 	}
 
-	// PSTN side: local exchange, VoIP gateway, international fallback.
+	// PSTN side: VoIP gateway, then the UK GMSC and the local exchange.
 	n.Gateway = h323.NewGateway(h323.GatewayConfig{
 		ID: "GW-1", Addr: gatewayAddr, Router: "GI", Gatekeeper: gkAddr,
 		Dir: base.Dir, Exchange: "LE-1", Trunks: n.LocalTrunks,
 	})
 	n.Router.AddHost(gatewayAddr, "GW-1")
 	base.Dir.Bind(gatewayAddr, "GW-1")
+	t.add(0, n.Gateway)
+	t.link("GI", "GW-1", "IP")
+	p := t.addUKPSTN("HLR", "LE-1", "GW-1", n.LocalTrunks, n.IntlTrunks, pstn.PhoneConfig{
+		Talk: opts.Talk, AutoAnswer: true, AnswerDelay: opts.AutoAnswerDelay,
+	}, opts.AutoAnswerDelay)
+	n.GMSC, n.PhoneUK, n.LE, n.PhoneY = p.GMSC, p.PhoneUK, p.LE, p.PhoneY
 
-	n.GMSC = pstn.NewExchange(pstn.ExchangeConfig{
-		ID: "GMSC-UK", HLR: "HLR", MobilePrefixes: []string{"0447"},
-		Routes: []pstn.Route{
-			{Prefix: "0446", Next: "PHONE-UK"}, // UK fixed lines
-		},
-	})
-	n.PhoneUK = pstn.NewPhone(pstn.PhoneConfig{
-		ID: "PHONE-UK", Number: UKFixedNumber, Exchange: "GMSC-UK",
-		AutoAnswer: true, AnswerDelay: answerDelay,
-	})
-	// The LE prefers the VoIP gateway for UK numbers and falls back to
-	// the international route when the gatekeeper cannot resolve one.
-	n.LE = pstn.NewExchange(pstn.ExchangeConfig{
-		ID: "LE-1",
-		Routes: []pstn.Route{
-			{Prefix: "044", Next: "GW-1", Trunks: n.LocalTrunks},
-			{Prefix: "044", Next: "GMSC-UK", Trunks: n.IntlTrunks},
-			{Prefix: "85221", Next: "PHONE-Y"},
-		},
-	})
-	n.PhoneY = pstn.NewPhone(pstn.PhoneConfig{
-		ID: "PHONE-Y", Number: CallerNumber, Exchange: "LE-1",
-		Talk: opts.Talk, AutoAnswer: true, AnswerDelay: answerDelay,
-	})
+	// The radio side joins the RAN shard; the PSTN and Gi-LAN additions
+	// stay on shard 0 with the core.
+	ran := 0
+	if opts.Shards > 1 {
+		ran = 1
+	}
 
-	// The visiting UK subscriber, provisioned in the shared HLR.
-	mustProvision(n.HLR, hlr.Subscriber{
-		IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		Profile: sigmap.SubscriberProfile{
-			MSISDN: RoamerMSISDN, InternationalAllowed: true, VoIPQoS: 1,
-		},
-	})
-	n.VMSC.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
-	n.VMSC2.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
-	n.Roamer = gsm.NewMS(gsm.MSConfig{
-		ID: "MS-ROAM", IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		BTS: "BTS-1", LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1},
-		Talk: opts.Talk, DTX: opts.DTX,
-		AutoAnswer: true, AnswerDelay: answerDelay,
-	})
+	// The visiting UK subscriber, provisioned in the shared HLR and camped
+	// in area 1.
+	t.provision(n.HLR, n.VMSC, roamer)
+	t.provision(nil, n.VMSC2, roamer)
+	n.Roamer = newMS("MS-ROAM", roamer, "BTS-1", area1Cell.LAI, &opts.VGPRSOptions)
+	t.add(ran, n.Roamer)
+	t.link("MS-ROAM", "BTS-1", "Um")
+	t.link("MS-ROAM", "BTS-2", "Um")
 
 	// Background data: packet-only handsets for the first subscribers,
 	// attached over a dedicated PCU radio leg (BuildVGPRS's BSC-1 carries
 	// no SGSN link), plus the echo host they ping.
 	n.Echo = &EchoHost{Node: "ECHO", Addr: echoAddr}
 	n.Router.AddHost(echoAddr, "ECHO")
+	t.add(0, n.Echo)
+	t.link("GI", "ECHO", "IP")
 	btsD := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-D", BSC: "BSC-D"})
 	bscD := gsm.NewBSC(gsm.BSCConfig{
 		ID: "BSC-D", MSC: "VMSC-1", SGSN: "SGSN-1", BTSs: []sim.NodeID{"BTS-D"},
 	})
+	t.add(ran, btsD, bscD)
+	t.link("BTS-D", "BSC-D", "Abis")
+	t.link("BSC-D", "VMSC-1", "A")
+	t.link("BSC-D", "SGSN-1", "Gb")
 	for i := 0; i < opts.DataMS; i++ {
-		id := sim.NodeID(fmt.Sprintf("MS-%d-data", i+1))
-		n.DataMSs = append(n.DataMSs, gprs.NewMS(gprs.MSConfig{
-			ID: id, IMSI: base.Subscribers[i].IMSI, BTS: "BTS-D",
-		}))
+		ms := gprs.NewMS(gprs.MSConfig{
+			ID: sim.NodeID(fmt.Sprintf("MS-%d-data", i+1)), IMSI: base.Subscribers[i].IMSI, BTS: "BTS-D",
+		})
+		n.DataMSs = append(n.DataMSs, ms)
+		t.add(ran, ms)
+		t.link(ms.ID(), "BTS-D", "Um")
 	}
-
-	nodes := []sim.Node{
-		n.Gateway, n.GMSC, n.PhoneUK, n.LE, n.PhoneY, n.Roamer,
-		n.Echo, btsD, bscD,
-	}
-	for _, ms := range n.DataMSs {
-		nodes = append(nodes, ms)
-	}
-	for _, node := range nodes {
-		env.AddNode(node)
-	}
-
-	env.Connect("GI", "GW-1", "IP", lat.LAN)
-	env.Connect("GI", "ECHO", "IP", lat.LAN)
-	env.Connect("LE-1", "GW-1", "ISUP", lat.Natl)
-	env.Connect("LE-1", "GMSC-UK", "ISUP", lat.Intl)
-	env.Connect("GMSC-UK", "HLR", "C", lat.SS7)
-	env.Connect("PHONE-Y", "LE-1", "Line", lat.LAN)
-	env.Connect("PHONE-UK", "GMSC-UK", "Line", lat.LAN)
-	env.Connect("MS-ROAM", "BTS-1", "Um", lat.Um)
-	env.Connect("MS-ROAM", "BTS-2", "Um", lat.Um)
-	env.Connect("BTS-D", "BSC-D", "Abis", lat.Abis)
-	env.Connect("BSC-D", "VMSC-1", "A", lat.A)
-	env.Connect("BSC-D", "SGSN-1", "Gb", lat.Gb)
-	for _, ms := range n.DataMSs {
-		env.Connect(ms.ID(), "BTS-D", "Um", lat.Um)
-	}
-
-	// The radio side — roamer included — joins the RAN shard; the PSTN
-	// and Gi-LAN additions stay on shard 0 with the core.
-	if opts.Shards > 1 {
-		env.AssignShard("MS-ROAM", 1)
-		env.AssignShard("BTS-D", 1)
-		env.AssignShard("BSC-D", 1)
-		for _, ms := range n.DataMSs {
-			env.AssignShard(ms.ID(), 1)
-		}
-	}
+	n.finish(t)
 	return n
-}
-
-// Residual extends the two-area snapshot with the day topology's
-// endpoints: gateway/PSTN call legs and the data handsets' clients.
-func (n *DayNet) Residual() Residual {
-	r := n.TwoVMSCNet.Residual()
-	if n.PhoneY.InCall() {
-		r.add("PHONE-Y", "active calls", 1)
-	}
-	if n.PhoneUK.InCall() {
-		r.add("PHONE-UK", "active calls", 1)
-	}
-	r.add("LE-1<->GW-1", "trunks in use", n.LocalTrunks.InUse())
-	r.add("LE-1<->GMSC-UK", "trunks in use", n.IntlTrunks.InUse())
-	r.add("VMSC-1<->VMSC-2", "trunks in use", n.ETrunks.InUse())
-	for _, ms := range n.DataMSs {
-		r.add(string(ms.ID()), "pending transactions", ms.Client.PendingTransactions())
-	}
-	return r
 }
 
 // EchoHost is a Gi-LAN node that answers every IP packet with an echo of

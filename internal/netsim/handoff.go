@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"time"
 
 	"vgprs/internal/gsm"
@@ -11,22 +12,47 @@ import (
 	"vgprs/internal/vmsc"
 )
 
+// fig9Net is what both Fig 9 topologies share: the anchor vGPRS network
+// and the neighbour cell whose report triggers the handoff.
+type fig9Net struct {
+	*VGPRSNet
+	// TargetCell is the neighbour cell the MS reports to trigger the
+	// handoff.
+	TargetCell gsmid.CGI
+}
+
+// RunHandoff drives the Fig 9 scenario on an established call: the MS
+// reports the target cell and the simulation runs until the handover
+// completes (or the deadline passes). It returns whether the handover
+// finished.
+func (n *fig9Net) RunHandoff(ms *gsm.MS, deadline time.Duration) bool {
+	prev := n.VMSC.Stats().Handovers
+	ms.ReportNeighbor(n.Env, n.TargetCell)
+	end := n.Env.Now() + deadline
+	for n.Env.Now() < end {
+		if n.VMSC.Stats().Handovers > prev {
+			return true
+		}
+		if !n.Env.Step() {
+			break
+		}
+	}
+	return false
+}
+
 // HandoffNet extends a VGPRSNet with a legacy GSM MSC and second radio
 // subsystem — the coexistence configuration of paper Fig 9: the VMSC is the
 // anchor; mid-call the MS moves to a cell served by the classic MSC over
 // the standard MAP E inter-system handoff, and the voice path becomes
 // H.323 <-> VMSC <-> ISUP trunk <-> MSC <-> MS.
 type HandoffNet struct {
-	*VGPRSNet
+	fig9Net
 	// MSC is the legacy target switching center.
 	MSC *msc.MSC
 	// TargetBSC is the radio controller under the legacy MSC.
 	TargetBSC *gsm.BSC
 	// ETrunks is the VMSC<->MSC E-interface trunk group.
 	ETrunks *isup.TrunkGroup
-	// TargetCell is the neighbour cell the MS reports to trigger the
-	// handoff.
-	TargetCell gsmid.CGI
 
 	// HomeCell is the anchor VMSC's own cell: a handed-over MS reporting
 	// it triggers a subsequent handback (GSM 03.09).
@@ -41,180 +67,81 @@ type HandoffNet struct {
 // BuildHandoff wires the Fig 9 topology. The target-side VLR is shared with
 // the VMSC (a common configuration: one VLR serving several MSC areas).
 func BuildHandoff(opts VGPRSOptions) *HandoffNet {
+	t := opts.topo()
 	n := &HandoffNet{
-		TargetCell: gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 2}, CI: 0x20},
-		HomeCell:   gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1},
-		ThirdCell:  gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 4}, CI: 0x40},
+		HomeCell:  area1Cell,
+		ThirdCell: gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 4}, CI: 0x40},
+		ETrunks:   t.trunk("VMSC<->MSC (E)", isup.TrunkNational, 8),
+		ETrunks3:  t.trunk("VMSC<->MSC-3 (E)", isup.TrunkNational, 8),
 	}
-
-	n.ETrunks = isup.NewTrunkGroup("VMSC<->MSC (E)", isup.TrunkNational, 8)
-	n.ETrunks3 = isup.NewTrunkGroup("VMSC<->MSC-3 (E)", isup.TrunkNational, 8)
-
-	base := buildVGPRSWith(opts, func(vcfg *vmsc.Config) {
-		vcfg.HandoverTargets = map[gsmid.CGI]vmsc.HandoverTarget{
-			n.TargetCell: {MSC: "MSC-2", BTS: "BTS-2"},
-			n.ThirdCell:  {MSC: "MSC-3", BTS: "BTS-3"},
-		}
-		vcfg.ETrunks = map[sim.NodeID]*isup.TrunkGroup{
-			"MSC-2": n.ETrunks,
-			"MSC-3": n.ETrunks3,
-		}
-		vcfg.HandbackCells = map[gsmid.CGI]sim.NodeID{n.HomeCell: "BTS-1"}
+	n.TargetCell = gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 2}, CI: 0x20}
+	n.VGPRSNet = vgprsTopo(t, opts, func(c *vmsc.Config) {
+		handover(c, "BTS-1", n.TargetCell, "MSC-2", "BTS-2", n.ETrunks)
+		handover(c, "BTS-1", n.ThirdCell, "MSC-3", "BTS-3", n.ETrunks3)
 	})
-	n.VGPRSNet = base
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
+	// The two legacy MSCs share VLR-1 and are E-interface peers of the
+	// anchor only; a subsequent handover between them still runs through
+	// the anchor.
+	legacy := func(k int, hoPrefix string, trunks *isup.TrunkGroup) (*gsm.BSC, *msc.MSC) {
+		m := msc.New(msc.Config{
+			ID: sim.NodeID(fmt.Sprintf("MSC-%d", k)), VLR: "VLR-1",
+			Trunks:               map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": trunks},
+			HandoverNumberPrefix: hoPrefix,
+		})
+		return n.addTarget(t, k, m), m
 	}
-
-	// Legacy radio subsystem and MSC.
-	bts2 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-2", BSC: "BSC-2"})
-	n.TargetBSC = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-2", MSC: "MSC-2", BTSs: []sim.NodeID{"BTS-2"},
-	})
-	n.MSC = msc.New(msc.Config{
-		ID: "MSC-2", VLR: "VLR-1",
-		Trunks:               map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": n.ETrunks},
-		HandoverNumberPrefix: "88698",
-	})
-	bts3 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-3", BSC: "BSC-3"})
-	bsc3 := gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-3", MSC: "MSC-3", BTSs: []sim.NodeID{"BTS-3"},
-	})
-	n.MSC3 = msc.New(msc.Config{
-		ID: "MSC-3", VLR: "VLR-1",
-		Trunks:               map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": n.ETrunks3},
-		HandoverNumberPrefix: "88696",
-	})
-	for _, node := range []sim.Node{bts2, n.TargetBSC, n.MSC, bts3, bsc3, n.MSC3} {
-		env.AddNode(node)
-	}
-	env.Connect("BTS-2", "BSC-2", "Abis", lat.Abis)
-	env.Connect("BSC-2", "MSC-2", "A", lat.A)
-	env.Connect("MSC-2", "VLR-1", "B", lat.SS7)
-	env.Connect("VMSC-1", "MSC-2", "E", lat.SS7)
-	env.Connect("BTS-3", "BSC-3", "Abis", lat.Abis)
-	env.Connect("BSC-3", "MSC-3", "A", lat.A)
-	env.Connect("MSC-3", "VLR-1", "B", lat.SS7)
-	env.Connect("VMSC-1", "MSC-3", "E", lat.SS7)
-	// The two legacy MSCs are E-interface peers of the anchor only; a
-	// subsequent handover between them still runs through the anchor.
-
-	// Every MS can reach both target cells' BTSs (neighbouring coverage).
-	for _, ms := range base.MSs {
-		env.Connect(ms.ID(), "BTS-2", "Um", lat.Um)
-		env.Connect(ms.ID(), "BTS-3", "Um", lat.Um)
-	}
+	n.TargetBSC, n.MSC = legacy(2, "88698", n.ETrunks)
+	_, n.MSC3 = legacy(3, "88696", n.ETrunks3)
+	n.finish(t)
 	return n
 }
 
-// buildVGPRSWith is BuildVGPRS plus a VMSC-config mutator, used by the
-// extended scenarios to add handover targets and trunks without duplicating
-// the topology code.
-func buildVGPRSWith(opts VGPRSOptions, mutate func(*vmsc.Config)) *VGPRSNet {
-	opts.VMSCMutate = mutate
-	return BuildVGPRS(opts)
+// addTarget lists a handover target system: BTS-k and BSC-k under the
+// switch sw, which shares VLR-1 and is an E-interface peer of VMSC-1.
+// Every MS can reach BTS-k (neighbouring coverage).
+func (n *fig9Net) addTarget(t *topo, k int, sw sim.Node) *gsm.BSC {
+	bts, bsc := newRAN(sim.NodeID(fmt.Sprintf("BTS-%d", k)), sim.NodeID(fmt.Sprintf("BSC-%d", k)), sw.ID(), 0)
+	t.add(0, bts, bsc, sw)
+	t.link(bts.ID(), bsc.ID(), "Abis")
+	t.link(bsc.ID(), sw.ID(), "A")
+	t.link(sw.ID(), "VLR-1", "B")
+	t.link("VMSC-1", sw.ID(), "E")
+	for _, ms := range n.MSs {
+		t.link(ms.ID(), bts.ID(), "Um")
+	}
+	return bsc
 }
 
 // VMSCHandoffNet is the VMSC-to-VMSC variant of the Fig 9 scenario — the
 // paper's §7 note that "inter-system handoff between two VMSCs follows the
 // same procedure".
 type VMSCHandoffNet struct {
-	*VGPRSNet
+	fig9Net
 	// Target is the second VMSC, acting purely as the handover target.
 	Target *vmsc.VMSC
 	// TargetBSC is the radio controller under the target VMSC.
 	TargetBSC *gsm.BSC
 	// ETrunks is the anchor<->target E-interface trunk group.
 	ETrunks *isup.TrunkGroup
-	// TargetCell triggers the handoff when reported.
-	TargetCell gsmid.CGI
 }
 
 // BuildHandoffVMSC wires a two-VMSC handoff topology. The target VMSC
 // shares the VLR; it needs no GPRS or H.323 attachments for the target
 // role, since the anchor keeps the VoIP leg.
 func BuildHandoffVMSC(opts VGPRSOptions) *VMSCHandoffNet {
-	n := &VMSCHandoffNet{TargetCell: gsmid.CGI{
-		LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 3}, CI: 0x30,
-	}}
-	n.ETrunks = isup.NewTrunkGroup("VMSC<->VMSC (E)", isup.TrunkNational, 8)
-
-	base := buildVGPRSWith(opts, func(vcfg *vmsc.Config) {
-		vcfg.HandoverTargets = map[gsmid.CGI]vmsc.HandoverTarget{
-			n.TargetCell: {MSC: "VMSC-2", BTS: "BTS-2"},
-		}
-		vcfg.ETrunks = map[sim.NodeID]*isup.TrunkGroup{"VMSC-2": n.ETrunks}
-		vcfg.HandbackCells = map[gsmid.CGI]sim.NodeID{
-			{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}: "BTS-1",
-		}
-	})
-	n.VGPRSNet = base
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-
-	bts2 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-2", BSC: "BSC-2"})
-	n.TargetBSC = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-2", MSC: "VMSC-2", BTSs: []sim.NodeID{"BTS-2"},
+	t := opts.topo()
+	n := &VMSCHandoffNet{ETrunks: t.trunk("VMSC<->VMSC (E)", isup.TrunkNational, 8)}
+	n.TargetCell = gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 3}, CI: 0x30}
+	n.VGPRSNet = vgprsTopo(t, opts, func(c *vmsc.Config) {
+		handover(c, "BTS-1", n.TargetCell, "VMSC-2", "BTS-2", n.ETrunks)
 	})
 	n.Target = vmsc.New(vmsc.Config{
 		ID: "VMSC-2", VLR: "VLR-1", SGSN: "SGSN-1",
 		Cell:       n.TargetCell,
-		Gatekeeper: gkAddr, Dir: base.Dir,
+		Gatekeeper: gkAddr, Dir: n.Dir,
 	})
-	for _, node := range []sim.Node{bts2, n.TargetBSC, n.Target} {
-		env.AddNode(node)
-	}
-	env.Connect("BTS-2", "BSC-2", "Abis", lat.Abis)
-	env.Connect("BSC-2", "VMSC-2", "A", lat.A)
-	env.Connect("VMSC-2", "VLR-1", "B", lat.SS7)
-	env.Connect("VMSC-2", "SGSN-1", "Gb", lat.Gb)
-	env.Connect("VMSC-1", "VMSC-2", "E", lat.SS7)
-	for _, ms := range base.MSs {
-		env.Connect(ms.ID(), "BTS-2", "Um", lat.Um)
-	}
+	n.TargetBSC = n.addTarget(t, 2, n.Target)
+	t.link("VMSC-2", "SGSN-1", "Gb")
+	n.finish(t)
 	return n
-}
-
-// RunHandoff drives the VMSC-to-VMSC handoff like HandoffNet.RunHandoff.
-func (n *VMSCHandoffNet) RunHandoff(ms *gsm.MS, deadline time.Duration) bool {
-	done := false
-	prev := n.VMSC.Stats().Handovers
-	ms.ReportNeighbor(n.Env, n.TargetCell)
-	end := n.Env.Now() + deadline
-	for n.Env.Now() < end {
-		if n.VMSC.Stats().Handovers > prev {
-			done = true
-			break
-		}
-		if !n.Env.Step() {
-			break
-		}
-	}
-	return done
-}
-
-// RunHandoff drives the Fig 9 scenario on an established call: the MS
-// reports the target cell and the simulation runs until the handover
-// completes (or the deadline passes). It returns whether the handover
-// finished.
-func (n *HandoffNet) RunHandoff(ms *gsm.MS, deadline time.Duration) bool {
-	done := false
-	prev := n.VMSC.Stats().Handovers
-	ms.ReportNeighbor(n.Env, n.TargetCell)
-	end := n.Env.Now() + deadline
-	for n.Env.Now() < end {
-		if n.VMSC.Stats().Handovers > prev {
-			done = true
-			break
-		}
-		if !n.Env.Step() {
-			break
-		}
-	}
-	return done
 }

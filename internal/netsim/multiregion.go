@@ -2,14 +2,13 @@ package netsim
 
 import (
 	"fmt"
-	"time"
+	"net/netip"
 
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
 	"vgprs/internal/h323"
 	"vgprs/internal/hlr"
 	"vgprs/internal/ipnet"
-	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/trace"
 	"vgprs/internal/vlr"
@@ -74,137 +73,63 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 	if opts.MSPerRegion == 0 {
 		opts.MSPerRegion = 1
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-
-	env := sim.NewShardedEnv(opts.Seed, shards)
-	n := &MultiRegionNet{Env: env}
-	if !opts.NoTrace {
-		n.Rec = trace.NewRecorder()
-		env.SetTracer(n.Rec)
-	}
-
-	n.HLR = hlr.New(hlr.Config{ID: "HLR"})
-	env.AddNode(n.HLR)
-
-	global := 0
+	t := newTopo(opts.Seed, opts.Shards, !opts.NoTrace, opts.Latencies)
+	n := &MultiRegionNet{HLR: hlr.New(hlr.Config{ID: "HLR"})}
+	t.add(0, n.HLR)
 	for r := 0; r < opts.Regions; r++ {
-		id := func(role string) sim.NodeID {
-			return sim.NodeID(fmt.Sprintf("%s-R%d", role, r+1))
+		// Partition: the HLR (and with it the shared SS7 plane) on shard
+		// 0, each region wholly on one of the remaining shards. The only
+		// cross-shard links are then the MAP interfaces D/Gr/Gc into the
+		// HLR, making the SS7 latency the lookahead.
+		shard := 0
+		if t.shards > 1 {
+			shard = 1 + r%(t.shards-1)
 		}
-		dir := h323.NewDirectory()
-		reg := Region{}
-
-		reg.VLR = vlr.New(vlr.Config{
-			ID: id("VLR"), HLR: "HLR", HomeCountryCode: "886",
-			MSRNPrefix: fmt.Sprintf("8869%04d", r+1),
-		})
-		sgsn, ggsn := buildGPRSCore(gprsCoreConfig{
-			SGSNID: id("SGSN"), GGSNID: id("GGSN"), HLR: "HLR", Gi: id("GI"),
-			PoolPrefix: fmt.Sprintf("10.%d.1.0", r+1),
-		})
-		reg.SGSN, reg.GGSN = SGSNHandle{sgsn}, GGSNHandle{ggsn}
-
-		router := ipnet.NewRouter(id("GI"))
-		gkAddr := ipnet.MustAddr(fmt.Sprintf("192.168.%d.1", r+1))
-		reg.GK = h323.NewGatekeeper(h323.GatekeeperConfig{
-			ID: id("GK"), Addr: gkAddr, Router: id("GI"), Dir: dir,
-		})
-		router.AddHost(gkAddr, id("GK"))
-		router.AddPrefix(mustPrefix(fmt.Sprintf("10.%d.1.0/24", r+1)), id("GGSN"))
-		dir.Bind(gkAddr, id("GK"))
-
+		suffix := fmt.Sprintf("-R%d", r+1)
 		lai := gsmid.LAI{MCC: "466", MNC: "92", LAC: uint16(r + 1)}
-		reg.VMSC = vmsc.New(vmsc.Config{
-			ID: id("VMSC"), VLR: id("VLR"), SGSN: id("SGSN"),
-			Cell:       gsmid.CGI{LAI: lai, CI: 1},
-			Gatekeeper: gkAddr, Dir: dir,
-		})
+		a := newArea(areaPlan{
+			id:  func(role string) sim.NodeID { return sim.NodeID(role + suffix) },
+			hlr: "HLR", cc: "886", msrn: fmt.Sprintf("8869%04d", r+1),
+			cell: gsmid.CGI{LAI: lai, CI: 1},
+			gk:   ipnet.MustAddr(fmt.Sprintf("192.168.%d.1", r+1)),
+			pool: netip.MustParsePrefix(fmt.Sprintf("10.%d.1.0/24", r+1)),
+			dir:  h323.NewDirectory(),
+		}, &VGPRSOptions{}, nil)
+		// A region lists its roles in its own order: the VMSC after the
+		// H.323 zone, where the BuildVGPRS area has it after the VLR.
+		t.add(shard, a.VLR, a.SGSN, a.GGSN, a.GI, a.GK, a.VMSC, a.BTS, a.BSC)
+		a.wire(t, "HLR", 0)
 
-		bts := gsm.NewBTS(gsm.BTSConfig{ID: id("BTS"), BSC: id("BSC")})
-		reg.BSC = gsm.NewBSC(gsm.BSCConfig{
-			ID: id("BSC"), MSC: id("VMSC"), BTSs: []sim.NodeID{id("BTS")},
-		})
-
-		for _, node := range []sim.Node{reg.VLR, sgsn, ggsn, router, reg.GK, reg.VMSC, bts, reg.BSC} {
-			env.AddNode(node)
+		reg := Region{
+			VMSC: a.VMSC, VLR: a.VLR, SGSN: SGSNHandle{a.SGSN}, GGSN: GGSNHandle{a.GGSN},
+			GK: a.GK, BSC: a.BSC,
 		}
-
-		env.Connect(id("BTS"), id("BSC"), "Abis", lat.Abis)
-		env.Connect(id("BSC"), id("VMSC"), "A", lat.A)
-		env.Connect(id("VMSC"), id("VLR"), "B", lat.SS7)
-		env.Connect(id("VLR"), "HLR", "D", lat.SS7)
-		env.Connect(id("VMSC"), id("SGSN"), "Gb", lat.Gb)
-		env.Connect(id("SGSN"), id("GGSN"), "Gn", lat.Gn)
-		env.Connect(id("SGSN"), "HLR", "Gr", lat.SS7)
-		env.Connect(id("GGSN"), "HLR", "Gc", lat.SS7)
-		env.Connect(id("GGSN"), id("GI"), "Gi", lat.Gi)
-		env.Connect(id("GI"), id("GK"), "IP", lat.LAN)
-
 		for i := 0; i < opts.MSPerRegion; i++ {
-			sub := SubscriberN(global)
-			global++
+			sub := SubscriberN(len(n.Subscribers))
 			n.Subscribers = append(n.Subscribers, sub)
-			mustProvision(n.HLR, hlr.Subscriber{
-				IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-				Profile: sigmap.SubscriberProfile{
-					MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: 1,
-				},
-			})
-			msID := sim.NodeID(fmt.Sprintf("MS-R%d-%d", r+1, i+1))
-			ms := gsm.NewMS(gsm.MSConfig{
-				ID: msID, IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-				BTS: id("BTS"), LAI: lai,
-			})
+			ms := newMS(sim.NodeID(fmt.Sprintf("MS-R%d-%d", r+1, i+1)), sub, a.BTS.ID(), lai, &VGPRSOptions{})
 			reg.MSs = append(reg.MSs, ms)
-			env.AddNode(ms)
-			env.Connect(msID, id("BTS"), "Um", lat.Um)
-			reg.VMSC.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
+			t.add(shard, ms)
+			t.link(ms.ID(), a.BTS.ID(), "Um")
+			t.provision(n.HLR, a.VMSC, sub)
 		}
 		n.Regions = append(n.Regions, reg)
 	}
-
-	// Partition: HLR (and with it the shared SS7 plane) on shard 0, each
-	// region wholly on one of the remaining shards. The only cross-shard
-	// links are then the MAP interfaces D/Gr/Gc into the HLR, making the
-	// SS7 latency the lookahead.
-	if shards > 1 {
-		for r := range n.Regions {
-			shard := 1 + r%(shards-1)
-			prefix := fmt.Sprintf("-R%d", r+1)
-			for _, role := range []string{"VLR", "SGSN", "GGSN", "GI", "GK", "VMSC", "BTS", "BSC"} {
-				env.AssignShard(sim.NodeID(role+prefix), shard)
-			}
-			for _, ms := range n.Regions[r].MSs {
-				env.AssignShard(ms.ID(), shard)
-			}
-		}
-	}
+	n.Env, n.Rec = t.build()
 	return n
 }
 
 // RegisterAll powers on every MS in every region and runs until
-// registration quiesces, returning an error naming any MS that did not
-// reach the idle (registered) state.
+// registration quiesces, returning an error naming any MS (in global
+// order) that did not reach the idle (registered) state.
 func (n *MultiRegionNet) RegisterAll() error {
+	var mss []*gsm.MS
 	for _, reg := range n.Regions {
-		for _, ms := range reg.MSs {
-			ms.PowerOn(n.Env)
-		}
+		mss = append(mss, reg.MSs...)
 	}
-	n.Env.RunUntil(n.Env.Now() + 30*time.Second)
-	for r, reg := range n.Regions {
-		for i, ms := range reg.MSs {
-			if ms.State() != gsm.MSIdle {
-				return fmt.Errorf("netsim: region %d MS %d state %v after registration", r, i, ms.State())
-			}
-		}
-	}
-	return nil
+	return powerOn(n.Env, mss)
 }
+
+// Residual snapshots the transient state of every region; see
+// VGPRSNet.Residual.
+func (n *MultiRegionNet) Residual() Residual { return audit(n.Env, nil, false) }

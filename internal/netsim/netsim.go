@@ -2,14 +2,27 @@
 // the vGPRS architecture of paper Fig 2(b) (BuildVGPRS), the international
 // roaming configurations of Figs 7-8 (BuildRoamingGSM, BuildRoamingVGPRS),
 // the inter-system handoff configurations of Fig 9 (BuildHandoff to a
-// legacy MSC, BuildHandoffVMSC between two VMSCs), and — in the tr23923
-// package, on the same substrate — the TR 23.923 baseline. Builders return
-// handles to every element so tests and benches can drive calls and inspect
-// state.
+// legacy MSC, BuildHandoffVMSC between two VMSCs), the two-area, multi-
+// region and day-in-the-life workloads (BuildTwoVMSC, BuildMultiRegion,
+// BuildDay), and the core the scale runs drive (BuildScale). The tr23923
+// package builds the TR 23.923 baseline on the same substrate. Builders
+// return handles to every element so tests and benches can drive calls and
+// inspect state.
+//
+// Every builder writes its network as one topology spec (topology.go): the
+// nodes in registration order with their shards, the links by interface,
+// and the subscribers to provision. A link takes its interface class's
+// latency from Latencies unless the spec overrides it. One function builds
+// every spec. Registration order fixes each node's event-key context and
+// RNG stream, so it is part of the topology: a golden test pins it, with
+// the shards and links, for every builder. Residual and Resident audit a
+// built network by walking its nodes.
 package netsim
 
 import (
 	"fmt"
+	"net/netip"
+	"slices"
 	"time"
 
 	"vgprs/internal/gsm"
@@ -17,7 +30,7 @@ import (
 	"vgprs/internal/h323"
 	"vgprs/internal/hlr"
 	"vgprs/internal/ipnet"
-	"vgprs/internal/sigmap"
+	"vgprs/internal/isup"
 	"vgprs/internal/sim"
 	"vgprs/internal/trace"
 	"vgprs/internal/vlr"
@@ -99,10 +112,6 @@ type VGPRSOptions struct {
 	// VMSCMutate, when set, adjusts the VMSC configuration before
 	// construction (scenario extensions add handover targets and trunks).
 	VMSCMutate func(*vmsc.Config)
-	// TerminalMutate, when set, adjusts each terminal's configuration
-	// before construction (the chaos harness arms RAS/Q.931
-	// retransmission here).
-	TerminalMutate func(*h323.TerminalConfig)
 	// Sig, when set, overrides the signalling retransmission profile of
 	// every network element at once. The chaos harness uses it to swap
 	// the conservative defaults for a loss-tolerant profile.
@@ -139,6 +148,11 @@ type VGPRSNet struct {
 	// Subscribers lists the provisioned (IMSI, MSISDN) pairs, index-
 	// aligned with MSs.
 	Subscribers []Subscriber
+
+	// trunks are the trunk groups the topology created; dirBase is the
+	// directory's binding count at build time (the static hosts).
+	trunks  []*isup.TrunkGroup
+	dirBase int
 }
 
 // Subscriber pairs the identities of one provisioned MS.
@@ -166,14 +180,37 @@ func TerminalAlias(n int) gsmid.MSISDN {
 // gkAddr is the gatekeeper's IP on the H.323 LAN.
 var gkAddr = ipnet.MustAddr("192.168.1.1")
 
-// terminalAddr is the n-th terminal's IP.
-func terminalAddr(n int) string { return fmt.Sprintf("192.168.1.%d", 10+n) }
+// area1Cell is the cell of the first (or only) VMSC area.
+var area1Cell = gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
+
+// area1 addresses the first vGPRS service area: VLR-1, VMSC-1, SGSN-1,
+// GGSN-1, BTS-1 and BSC-1 with the GI router and gatekeeper GK, homed on
+// HLR, with the GGSN's dynamic addresses drawn from pool.
+func area1(dir *h323.Directory, pool string, poolSize int) areaPlan {
+	return areaPlan{
+		id: func(role string) sim.NodeID {
+			if role == "GI" || role == "GK" {
+				return sim.NodeID(role)
+			}
+			return sim.NodeID(role + "-1")
+		},
+		hlr: "HLR", cc: "886", msrn: "88690000", cell: area1Cell,
+		gk: gkAddr, pool: netip.MustParsePrefix(pool), poolSize: poolSize, dir: dir,
+	}
+}
 
 // BuildVGPRS wires the complete vGPRS network of Fig 2(b):
 //
 //	MS ~Um~ BTS ~Abis~ BSC ~A~ VMSC ~Gb~ SGSN ~Gn~ GGSN ~Gi~ [GK, terminals]
 //	         VMSC ~B~ VLR ~D~ HLR;  SGSN ~Gr~ HLR;  GGSN ~Gc~ HLR
 func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
+	t := opts.topo()
+	return vgprsTopo(t, opts, nil).finish(t)
+}
+
+// vgprsTopo lists the BuildVGPRS network into t and returns the handles it
+// creates; extend is passed to newArea for VMSC-1.
+func vgprsTopo(t *topo, opts VGPRSOptions, extend func(*vmsc.Config)) *VGPRSNet {
 	if opts.NumMS == 0 {
 		opts.NumMS = 1
 	}
@@ -183,169 +220,123 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 	if opts.AutoAnswerDelay == 0 {
 		opts.AutoAnswerDelay = 200 * time.Millisecond
 	}
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	env := sim.NewShardedEnv(opts.Seed, shards)
-	var rec *trace.Recorder
-	if !opts.NoTrace {
-		rec = trace.NewRecorder()
-		env.SetTracer(rec)
-	}
-	dir := h323.NewDirectory()
-
-	n := &VGPRSNet{Env: env, Rec: rec, Dir: dir}
-
-	var sig SigProfile
-	if opts.Sig != nil {
-		sig = *opts.Sig
-	}
-
-	// GSM core databases.
+	sig := opts.sig()
+	n := &VGPRSNet{Dir: h323.NewDirectory()}
 	n.HLR = hlr.New(hlr.Config{ID: "HLR", SigRTO: sig.RTO, SigRetries: sig.Retries})
-	n.VLR = vlr.New(vlr.Config{
-		ID: "VLR-1", HLR: "HLR", HomeCountryCode: "886", MSRNPrefix: "88690000",
-		AuthDisabled: opts.AuthDisabled,
-		SigRTO:       sig.RTO, SigRetries: sig.Retries,
-	})
-
-	// GPRS core.
-	sgsn, ggsn := buildGPRSCore(gprsCoreConfig{
-		SGSNID: "SGSN-1", GGSNID: "GGSN-1", HLR: "HLR", Gi: "GI",
-		PoolPrefix:  "10.1.1.0",
-		NetworkInit: opts.DeactivateIdlePDP,
-		MaxContexts: opts.SGSNMaxContexts,
-		SigRTO:      sig.RTO, SigRetries: sig.Retries,
-	})
-	n.SGSN = SGSNHandle{sgsn}
-	n.GGSN = GGSNHandle{ggsn}
-
-	// H.323 network.
-	n.Router = ipnet.NewRouter("GI")
-	gkCfg := h323.GatekeeperConfig{ID: "GK", Addr: gkAddr, Router: "GI", Dir: dir}
-	if opts.GKMutate != nil {
-		opts.GKMutate(&gkCfg)
+	plan := area1(n.Dir, "10.1.1.0/24", 0)
+	if opts.DeactivateIdlePDP {
+		plan.static = make(map[gsmid.IMSI]string)
 	}
-	n.GK = h323.NewGatekeeper(gkCfg)
-	n.Router.AddHost(gkAddr, "GK")
-	n.Router.AddPrefix(mustPrefix("10.1.1.0/24"), "GGSN-1")
-	dir.Bind(gkAddr, "GK")
+	a := newArea(plan, &opts, extend)
+	n.setArea(a)
 
-	// The VMSC — the paper's new element, replacing the MSC.
-	staticAddrs := make(map[gsmid.IMSI]string)
-	vcfg := vmsc.Config{
-		ID: "VMSC-1", VLR: "VLR-1", SGSN: "SGSN-1",
-		Cell:       gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1},
-		Gatekeeper: gkAddr, Dir: dir,
-		DeactivateIdlePDP: opts.DeactivateIdlePDP,
-		StaticAddrs:       staticAddrs,
-		SigRTO:            sig.RTO,
-		SigRetries:        sig.Retries,
-		H323Retries:       sig.H323Retries,
+	t.nodes = slices.Grow(t.nodes, 9+opts.NumMS+opts.NumTerminals)
+	t.links = slices.Grow(t.links, 10+opts.NumMS+opts.NumTerminals)
+	t.subs = slices.Grow(t.subs, opts.NumMS)
+
+	// Default shard partition: radio access on shard 1, everything else
+	// (SS7 core, GPRS core, H.323 plane) on shard 0.
+	ran := 0
+	if t.shards > 1 {
+		ran = 1
 	}
-	if opts.VMSCMutate != nil {
-		opts.VMSCMutate(&vcfg)
-	}
-	n.VMSC = vmsc.New(vcfg)
+	t.add(0, n.HLR, a.VLR, a.VMSC, a.SGSN, a.GGSN, a.GI, a.GK)
+	t.add(ran, a.BTS, a.BSC)
+	a.wire(t, "HLR", 0)
 
-	// Radio access.
-	bts := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-1", BSC: "BSC-1"})
-	n.BSC = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-1", MSC: "VMSC-1", BTSs: []sim.NodeID{"BTS-1"},
-		TCHCapacity: opts.TCHCapacity,
-	})
-
-	for _, node := range []sim.Node{n.HLR, n.VLR, n.VMSC, sgsn, ggsn, n.Router, n.GK, bts, n.BSC} {
-		env.AddNode(node)
-	}
-
-	env.Connect("BTS-1", "BSC-1", "Abis", lat.Abis)
-	env.Connect("BSC-1", "VMSC-1", "A", lat.A)
-	env.Connect("VMSC-1", "VLR-1", "B", lat.SS7)
-	env.Connect("VLR-1", "HLR", "D", lat.SS7)
-	env.Connect("VMSC-1", "SGSN-1", "Gb", lat.Gb)
-	env.Connect("SGSN-1", "GGSN-1", "Gn", lat.Gn)
-	env.Connect("SGSN-1", "HLR", "Gr", lat.SS7)
-	env.Connect("GGSN-1", "HLR", "Gc", lat.SS7)
-	env.Connect("GGSN-1", "GI", "Gi", lat.Gi)
-	env.Connect("GI", "GK", "IP", lat.LAN)
-
-	// Subscribers and their MSs.
 	for i := 0; i < opts.NumMS; i++ {
 		sub := SubscriberN(i)
 		n.Subscribers = append(n.Subscribers, sub)
-		mustProvision(n.HLR, hlr.Subscriber{
-			IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-			Profile: sigmap.SubscriberProfile{
-				MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: 1,
-			},
-		})
 		if opts.DeactivateIdlePDP {
 			// The ablation needs static addresses for network-initiated
 			// activation (GSM 03.60 requirement the paper cites).
 			addr := ipnet.MustAddr(fmt.Sprintf("10.1.2.%d", i+1))
-			staticAddrs[sub.IMSI] = addr.String()
-			ggsn.ProvisionStatic(addr, sub.IMSI)
-			n.Router.AddPrefix(mustPrefix(addr.String()+"/32"), "GGSN-1")
+			plan.static[sub.IMSI] = addr.String()
+			a.GGSN.ProvisionStatic(addr, sub.IMSI)
+			a.GI.AddPrefix(netip.PrefixFrom(addr, 32), "GGSN-1")
 		}
-		msID := sim.NodeID(fmt.Sprintf("MS-%d", i+1))
-		ms := gsm.NewMS(gsm.MSConfig{
-			ID: msID, IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-			BTS:  "BTS-1",
-			LAI:  gsmid.LAI{MCC: "466", MNC: "92", LAC: 1},
-			Talk: opts.Talk, DTX: opts.DTX,
-			AutoAnswer: true, AnswerDelay: opts.AutoAnswerDelay,
-		})
+		ms := newMS(sim.NodeID(fmt.Sprintf("MS-%d", i+1)), sub, "BTS-1", area1Cell.LAI, &opts)
 		n.MSs = append(n.MSs, ms)
-		env.AddNode(ms)
-		env.Connect(msID, "BTS-1", "Um", lat.Um)
+		t.add(ran, ms)
+		t.link(ms.ID(), "BTS-1", "Um")
+		t.provision(n.HLR, n.VMSC, sub)
 	}
 
-	// H.323 terminals.
 	for i := 0; i < opts.NumTerminals; i++ {
 		termID := sim.NodeID(fmt.Sprintf("TERM-%d", i+1))
-		addr := ipnet.MustAddr(terminalAddr(i))
-		tcfg := h323.TerminalConfig{
+		addr := ipnet.MustAddr(fmt.Sprintf("192.168.1.%d", 10+i))
+		term := h323.NewTerminal(h323.TerminalConfig{
 			ID: termID, Alias: TerminalAlias(i), Addr: addr,
-			Router: "GI", Gatekeeper: gkAddr, Dir: dir,
+			Router: "GI", Gatekeeper: gkAddr, Dir: n.Dir,
 			AutoAnswer: true, AnswerDelay: opts.AutoAnswerDelay,
 			Talk:   opts.Talk,
 			SigRTO: sig.RTO, SigRetries: sig.H323Retries,
-		}
-		if opts.TerminalMutate != nil {
-			opts.TerminalMutate(&tcfg)
-		}
-		term := h323.NewTerminal(tcfg)
+		})
 		n.Terminals = append(n.Terminals, term)
 		n.Router.AddHost(addr, termID)
-		dir.Bind(addr, termID)
-		env.AddNode(term)
-		env.Connect("GI", termID, "IP", lat.LAN)
-	}
-
-	// The VMSC learns MSISDNs from the VLR at registration, but knowing
-	// them up front keeps the MS table complete for inspection.
-	for _, sub := range n.Subscribers {
-		n.VMSC.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
-	}
-
-	// Default shard partition: radio access on shard 1, everything else
-	// (SS7 core, GPRS core, H.323 plane) on shard 0. Assignment happens
-	// last, while nothing is scheduled yet.
-	if shards > 1 {
-		env.AssignShard("BTS-1", 1)
-		env.AssignShard("BSC-1", 1)
-		for _, ms := range n.MSs {
-			env.AssignShard(ms.ID(), 1)
-		}
+		n.Dir.Bind(addr, termID)
+		t.add(0, term)
+		t.link("GI", termID, "IP")
 	}
 	return n
+}
+
+// BuildScale wires the topology of the scale runs: the BuildVGPRS core
+// with a GGSN pool sized for subs subscribers, every link at 50 µs and no
+// tracing, driven by one load node in place of the radio access, MSs and
+// terminals. With fullStack the load plays the BSC and every MS on the
+// VMSC's A interface; without it the VMSC, GI router and gatekeeper are
+// left out and the load plays the VMSC on the VLR's B and the SGSN's Gb
+// interfaces. Either way it may also speak MAP to the VLR (the HLR's
+// cancel role).
+func BuildScale(seed int64, subs int, fullStack bool, load sim.Node) *VGPRSNet {
+	const d = 50 * time.Microsecond
+	lat := Latencies{Um: d, Abis: d, A: d, SS7: d, Gb: d, Gn: d, Gi: d, LAN: d, Intl: d, Natl: d}
+	t := newTopo(seed, 1, false, &lat)
+	n := &VGPRSNet{Dir: h323.NewDirectory(), HLR: hlr.New(hlr.Config{ID: "HLR"})}
+	// The pool base sits on a /8 so a million dynamic PDP addresses count
+	// up without leaving the routed prefix.
+	a := newArea(area1(n.Dir, "10.0.0.0/8", subs+2), &VGPRSOptions{AuthDisabled: true}, nil)
+	a.BTS, a.BSC = nil, nil
+	if fullStack {
+		t.add(0, n.HLR, a.VLR, a.VMSC, a.SGSN, a.GGSN, a.GI, a.GK, load)
+		t.link(load.ID(), "VMSC-1", "A")
+	} else {
+		a.VMSC, a.GI, a.GK = nil, nil, nil
+		t.add(0, n.HLR, a.VLR, a.SGSN, a.GGSN, load)
+		t.link(load.ID(), "SGSN-1", "Gb")
+	}
+	t.link(load.ID(), "VLR-1", "B")
+	a.wire(t, "HLR", 0)
+	n.setArea(a)
+	return n.finish(t)
+}
+
+// setArea records an area's element handles.
+func (n *VGPRSNet) setArea(a *area) {
+	n.VLR, n.VMSC, n.GK, n.Router, n.BSC = a.VLR, a.VMSC, a.GK, a.GI, a.BSC
+	n.SGSN, n.GGSN = SGSNHandle{a.SGSN}, GGSNHandle{a.GGSN}
+}
+
+// finish builds the spec into n's environment.
+func (n *VGPRSNet) finish(t *topo) *VGPRSNet {
+	n.Env, n.Rec = t.build()
+	n.trunks = t.trunks
+	n.dirBase = n.Dir.Bound()
+	return n
+}
+
+// topo starts the spec of a network built with these options.
+func (o *VGPRSOptions) topo() *topo {
+	return newTopo(o.Seed, o.Shards, !o.NoTrace, o.Latencies)
+}
+
+// sig returns the signalling retransmission profile (zero = defaults).
+func (o *VGPRSOptions) sig() SigProfile {
+	if o.Sig != nil {
+		return *o.Sig
+	}
+	return SigProfile{}
 }
 
 // RegisterAll powers on every MS and every terminal and runs the simulation
@@ -355,14 +346,8 @@ func (n *VGPRSNet) RegisterAll() error {
 	for _, term := range n.Terminals {
 		term.Register(n.Env)
 	}
-	for _, ms := range n.MSs {
-		ms.PowerOn(n.Env)
-	}
-	n.Env.RunUntil(n.Env.Now() + 30*time.Second)
-	for i, ms := range n.MSs {
-		if ms.State() != gsm.MSIdle {
-			return fmt.Errorf("netsim: MS %d state %v after registration", i, ms.State())
-		}
+	if err := powerOn(n.Env, n.MSs); err != nil {
+		return err
 	}
 	for i, term := range n.Terminals {
 		if !term.Registered() {
@@ -372,8 +357,17 @@ func (n *VGPRSNet) RegisterAll() error {
 	return nil
 }
 
-func mustProvision(h *hlr.HLR, s hlr.Subscriber) {
-	if err := h.Provision(s); err != nil {
-		panic(err)
+// powerOn switches mss on, runs until registration quiesces, and names the
+// first MS that did not reach the idle (registered) state.
+func powerOn(env *sim.Env, mss []*gsm.MS) error {
+	for _, ms := range mss {
+		ms.PowerOn(env)
 	}
+	env.RunUntil(env.Now() + 30*time.Second)
+	for i, ms := range mss {
+		if ms.State() != gsm.MSIdle {
+			return fmt.Errorf("netsim: MS %d state %v after registration", i, ms.State())
+		}
+	}
+	return nil
 }

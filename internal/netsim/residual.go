@@ -3,6 +3,17 @@ package netsim
 import (
 	"fmt"
 	"strings"
+
+	"vgprs/internal/gprs"
+	"vgprs/internal/gsm"
+	"vgprs/internal/h323"
+	"vgprs/internal/hlr"
+	"vgprs/internal/isup"
+	"vgprs/internal/msc"
+	"vgprs/internal/pstn"
+	"vgprs/internal/sim"
+	"vgprs/internal/vlr"
+	"vgprs/internal/vmsc"
 )
 
 // Residual is a snapshot of every transient signalling record a network
@@ -54,59 +65,116 @@ func (r *Residual) String() string {
 	return b.String()
 }
 
-// Residual snapshots the transient state of every stateful element in the
-// base topology. Durable state (registrations, attached subscribers, idle
-// PDP contexts) is deliberately excluded — it is supposed to survive
-// between procedures; only in-flight records count.
-func (n *VGPRSNet) Residual() Residual {
+// Count sums the leaked records of one kind.
+func (r *Residual) Count(kind string) int {
+	total := 0
+	for _, it := range r.Items {
+		if it.Kind == kind {
+			total += it.Count
+		}
+	}
+	return total
+}
+
+// SlabImbalance is the Residual kind of the storage audits: allocated-
+// handle count must equal live-record count in every slab shard, and every
+// index entry must resolve to a record that agrees with its key. A
+// non-zero imbalance is a storage-layer leak even when every procedure-
+// level counter is clean.
+const SlabImbalance = "slab imbalance"
+
+// inspect reports each counter a stateful node exposes. transient gets the
+// in-flight records and storage audits a drained network must hold at
+// zero; durable gets the records meant to survive between procedures
+// (registrations, attachments, PDP contexts).
+func inspect(node sim.Node, transient, durable func(kind string, n int)) {
+	switch x := node.(type) {
+	case *vmsc.VMSC:
+		transient("pending transactions", x.PendingTransactions())
+		transient("active calls", x.ActiveCalls())
+		transient("handoff trunk calls", x.HandoffCalls())
+		transient("in-flight media frames", x.InflightFrames())
+		transient(SlabImbalance, x.SlabImbalance())
+		durable("registered MSs", x.MSTable())
+	case *vlr.VLR:
+		transient("pending location updates", x.PendingUpdates())
+		transient("open dialogues", x.OutstandingDialogues())
+		transient("outstanding MSRNs", x.OutstandingMSRNs())
+		transient(SlabImbalance, x.SlabImbalance())
+		durable("registered subscribers", x.Registered())
+	case *hlr.HLR:
+		transient("open dialogues", x.OutstandingDialogues())
+		transient(SlabImbalance, x.SlabImbalance())
+	case *gprs.SGSN:
+		transient("pending GTP transactions", x.PendingTransactions())
+		transient("open dialogues", x.OutstandingDialogues())
+		transient(SlabImbalance, x.SlabImbalance())
+		durable("attached MSs", x.Attached())
+		durable("PDP contexts", x.ActiveContexts())
+	case *gprs.GGSN:
+		transient("pending creates", x.PendingCreates())
+		transient("open dialogues", x.OutstandingDialogues())
+		transient("queued activation packets", x.QueuedPackets())
+		transient(SlabImbalance, x.SlabImbalance())
+		durable("PDP contexts", x.ActiveContexts())
+	case *h323.Gatekeeper:
+		transient(SlabImbalance, x.SlabImbalance())
+		durable("registrations", x.Registered())
+	case *h323.Terminal:
+		transient("pending RAS", x.PendingRAS())
+		transient("active calls", x.ActiveCalls())
+	case *gsm.BSC:
+		transient("channels in use", x.ChannelsInUse())
+	case *msc.MSC:
+		transient("active calls", x.ActiveCalls())
+	case *pstn.Exchange:
+		transient("active calls", x.ActiveCalls())
+	case *pstn.Phone:
+		if x.InCall() {
+			transient("active calls", 1)
+		}
+	case *gprs.MS:
+		transient("pending transactions", x.Client.PendingTransactions())
+	}
+}
+
+// audit walks env's nodes in registration order, then the topology's trunk
+// groups, and collects the transient counters — or, with durable, the
+// durable ones.
+func audit(env *sim.Env, trunks []*isup.TrunkGroup, durable bool) Residual {
 	var r Residual
-	r.add("VMSC-1", "pending transactions", n.VMSC.PendingTransactions())
-	r.add("VMSC-1", "active calls", n.VMSC.ActiveCalls())
-	r.add("VMSC-1", "handoff trunk calls", n.VMSC.HandoffCalls())
-	r.add("VMSC-1", "in-flight media frames", n.VMSC.InflightFrames())
-	r.add("VLR-1", "pending location updates", n.VLR.PendingUpdates())
-	r.add("VLR-1", "open dialogues", n.VLR.OutstandingDialogues())
-	r.add("VLR-1", "outstanding MSRNs", n.VLR.OutstandingMSRNs())
-	r.add("HLR", "open dialogues", n.HLR.OutstandingDialogues())
-	r.add("SGSN-1", "pending GTP transactions", n.SGSN.PendingTransactions())
-	r.add("SGSN-1", "open dialogues", n.SGSN.OutstandingDialogues())
-	r.add("GGSN-1", "pending creates", n.GGSN.PendingCreates())
-	r.add("GGSN-1", "open dialogues", n.GGSN.OutstandingDialogues())
-	r.add("GGSN-1", "queued activation packets", n.GGSN.QueuedPackets())
-	r.add("BSC-1", "channels in use", n.BSC.ChannelsInUse())
-	// Slab audits: allocated-handle count must equal live-context count in
-	// every shard, and every index entry must resolve to a record that
-	// agrees with its key. A non-zero imbalance is a storage-layer leak
-	// even when all procedure-level counters are clean.
-	r.add("VMSC-1", "slab imbalance", n.VMSC.SlabImbalance())
-	r.add("VLR-1", "slab imbalance", n.VLR.SlabImbalance())
-	r.add("HLR", "slab imbalance", n.HLR.SlabImbalance())
-	r.add("SGSN-1", "slab imbalance", n.SGSN.SlabImbalance())
-	r.add("GGSN-1", "slab imbalance", n.GGSN.SlabImbalance())
-	r.add("GK", "slab imbalance", n.GK.SlabImbalance())
-	for i, term := range n.Terminals {
-		id := fmt.Sprintf("TERM-%d", i+1)
-		r.add(id, "pending RAS", term.PendingRAS())
-		r.add(id, "active calls", term.ActiveCalls())
+	skip := func(string, int) {}
+	for _, node := range env.Nodes() {
+		id := string(node.ID())
+		add := func(kind string, n int) { r.add(id, kind, n) }
+		if durable {
+			inspect(node, skip, add)
+		} else {
+			inspect(node, add, skip)
+		}
+	}
+	if !durable {
+		for _, g := range trunks {
+			r.add(g.Name, "trunks in use", g.InUse())
+		}
 	}
 	return r
 }
 
-// Residual extends the base snapshot with the second service area.
-func (n *TwoVMSCNet) Residual() Residual {
-	r := n.VGPRSNet.Residual()
-	r.add("VMSC-2", "pending transactions", n.VMSC2.PendingTransactions())
-	r.add("VMSC-2", "active calls", n.VMSC2.ActiveCalls())
-	r.add("VMSC-2", "handoff trunk calls", n.VMSC2.HandoffCalls())
-	r.add("VMSC-2", "in-flight media frames", n.VMSC2.InflightFrames())
-	r.add("VLR-2", "pending location updates", n.VLR2.PendingUpdates())
-	r.add("VLR-2", "open dialogues", n.VLR2.OutstandingDialogues())
-	r.add("VLR-2", "outstanding MSRNs", n.VLR2.OutstandingMSRNs())
-	r.add("SGSN-2", "pending GTP transactions", n.SGSN2.PendingTransactions())
-	r.add("SGSN-2", "open dialogues", n.SGSN2.OutstandingDialogues())
-	r.add("BSC-2", "channels in use", n.BSC2.ChannelsInUse())
-	r.add("VMSC-2", "slab imbalance", n.VMSC2.SlabImbalance())
-	r.add("VLR-2", "slab imbalance", n.VLR2.SlabImbalance())
-	r.add("SGSN-2", "slab imbalance", n.SGSN2.SlabImbalance())
+// Residual snapshots the transient state of every stateful element and
+// trunk group in the topology. Durable state (registrations, attached
+// subscribers, idle PDP contexts) is deliberately excluded — it is
+// supposed to survive between procedures; only in-flight records and the
+// storage audits count.
+func (n *VGPRSNet) Residual() Residual { return audit(n.Env, n.trunks, false) }
+
+// Resident counts the durable per-subscriber records the network still
+// holds: VMSC MS-table rows, VLR registrations, SGSN attachments, PDP
+// contexts, gatekeeper registrations, and directory bindings beyond the
+// static hosts the builder bound. After every subscriber is cancelled it
+// must be empty.
+func (n *VGPRSNet) Resident() Residual {
+	r := audit(n.Env, nil, true)
+	r.add("directory", "bindings", n.Dir.Bound()-n.dirBase)
 	return r
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 
 	"vgprs/internal/gsm"
@@ -12,7 +13,6 @@ import (
 	"vgprs/internal/isup"
 	"vgprs/internal/msc"
 	"vgprs/internal/pstn"
-	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/trace"
 	"vgprs/internal/vlr"
@@ -32,7 +32,15 @@ var (
 	UKFixedNumber = gsmid.MSISDN("044612340001")
 )
 
-var roamerKi = [16]byte{0x77, 0x01}
+// roamer is subscriber x. Its home profile carries no VoIP QoS class in
+// the roaming topologies; the day topology provisions the vGPRS default.
+var roamer = Subscriber{IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: [16]byte{0x77, 0x01}}
+
+// roamerOpts makes the roamer's handset talk and auto-answer.
+var roamerOpts = VGPRSOptions{Talk: true, AutoAnswerDelay: 200 * time.Millisecond}
+
+// hkLAI is the Hong Kong location area the roamer camps in.
+var hkLAI = gsmid.LAI{MCC: "454", MNC: "00", LAC: 1}
 
 // RoamingGSMNet is the Fig 7 baseline: subscriber x roams in Hong Kong
 // under a classic GSM MSC; a local call from y becomes two international
@@ -57,25 +65,15 @@ type RoamingGSMNet struct {
 
 // BuildRoamingGSM wires the Fig 7 configuration.
 func BuildRoamingGSM(seed int64) *RoamingGSMNet {
-	env := sim.NewEnv(seed)
-	rec := trace.NewRecorder()
-	env.SetTracer(rec)
-	lat := DefaultLatencies()
-
+	t := newTopo(seed, 1, true, nil)
 	n := &RoamingGSMNet{
-		Env: env, Rec: rec,
-		IntlToUK: isup.NewTrunkGroup("LE-HK<->GMSC-UK", isup.TrunkInternational, 16),
-		IntlToHK: isup.NewTrunkGroup("GMSC-UK<->MSC-HK", isup.TrunkInternational, 16),
+		IntlToUK: t.trunk("LE-HK<->GMSC-UK", isup.TrunkInternational, 16),
+		IntlToHK: t.trunk("GMSC-UK<->MSC-HK", isup.TrunkInternational, 16),
+		HLRUK:    hlr.New(hlr.Config{ID: "HLR-UK"}),
+		VLRHK: vlr.New(vlr.Config{
+			ID: "VLR-HK", HLR: "HLR-UK", HomeCountryCode: "852", MSRNPrefix: "85290000",
+		}),
 	}
-
-	n.HLRUK = hlr.New(hlr.Config{ID: "HLR-UK"})
-	mustProvision(n.HLRUK, hlr.Subscriber{
-		IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		Profile: sigmap.SubscriberProfile{MSISDN: RoamerMSISDN, InternationalAllowed: true},
-	})
-	n.VLRHK = vlr.New(vlr.Config{
-		ID: "VLR-HK", HLR: "HLR-UK", HomeCountryCode: "852", MSRNPrefix: "85290000",
-	})
 	n.MSCHK = msc.New(msc.Config{
 		ID: "MSC-HK", VLR: "VLR-HK", PSTN: "GMSC-UK",
 		Trunks: map[sim.NodeID]*isup.TrunkGroup{"GMSC-UK": n.IntlToHK},
@@ -97,41 +95,26 @@ func BuildRoamingGSM(seed int64) *RoamingGSMNet {
 	n.PhoneY = pstn.NewPhone(pstn.PhoneConfig{
 		ID: "PHONE-Y", Number: CallerNumber, Exchange: "LE-HK", Talk: true,
 	})
+	bts, bsc := newRAN("BTS-HK", "BSC-HK", "MSC-HK", 0)
+	n.MS = newMS("MS-X", roamer, "BTS-HK", hkLAI, &roamerOpts)
 
-	bts := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-HK", BSC: "BSC-HK"})
-	bsc := gsm.NewBSC(gsm.BSCConfig{ID: "BSC-HK", MSC: "MSC-HK", BTSs: []sim.NodeID{"BTS-HK"}})
-	n.MS = gsm.NewMS(gsm.MSConfig{
-		ID: "MS-X", IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		BTS: "BTS-HK", LAI: gsmid.LAI{MCC: "454", MNC: "00", LAC: 1},
-		AutoAnswer: true, AnswerDelay: 200 * time.Millisecond, Talk: true,
-	})
-
-	for _, node := range []sim.Node{
-		n.HLRUK, n.VLRHK, n.MSCHK, n.GMSCUK, n.LEHK, n.PhoneY, bts, bsc, n.MS,
-	} {
-		env.AddNode(node)
-	}
-	env.Connect("MS-X", "BTS-HK", "Um", lat.Um)
-	env.Connect("BTS-HK", "BSC-HK", "Abis", lat.Abis)
-	env.Connect("BSC-HK", "MSC-HK", "A", lat.A)
-	env.Connect("MSC-HK", "VLR-HK", "B", lat.SS7)
-	env.Connect("VLR-HK", "HLR-UK", "D", lat.Intl) // international SS7
-	env.Connect("GMSC-UK", "HLR-UK", "C", lat.SS7)
-	env.Connect("PHONE-Y", "LE-HK", "Line", lat.LAN)
-	env.Connect("LE-HK", "GMSC-UK", "ISUP", lat.Intl)
-	env.Connect("GMSC-UK", "MSC-HK", "ISUP", lat.Intl)
+	t.add(0, n.HLRUK, n.VLRHK, n.MSCHK, n.GMSCUK, n.LEHK, n.PhoneY, bts, bsc, n.MS)
+	t.subs = append(t.subs, provision{hlr: n.HLRUK, sub: roamer})
+	t.link("MS-X", "BTS-HK", "Um")
+	t.link("BTS-HK", "BSC-HK", "Abis")
+	t.link("BSC-HK", "MSC-HK", "A")
+	t.link("MSC-HK", "VLR-HK", "B")
+	t.linkAt("VLR-HK", "HLR-UK", "D", t.lat.Intl) // international SS7
+	t.link("GMSC-UK", "HLR-UK", "C")
+	t.link("PHONE-Y", "LE-HK", "Line")
+	t.linkAt("LE-HK", "GMSC-UK", "ISUP", t.lat.Intl)
+	t.linkAt("GMSC-UK", "MSC-HK", "ISUP", t.lat.Intl)
+	n.Env, n.Rec = t.build()
 	return n
 }
 
 // Register powers on the roamer and waits for registration.
-func (n *RoamingGSMNet) Register() error {
-	n.MS.PowerOn(n.Env)
-	n.Env.RunUntil(n.Env.Now() + 30*time.Second)
-	if n.MS.State() != gsm.MSIdle {
-		return fmt.Errorf("netsim: roamer state %v after registration", n.MS.State())
-	}
-	return nil
-}
+func (n *RoamingGSMNet) Register() error { return powerOn(n.Env, []*gsm.MS{n.MS}) }
 
 // InternationalSeizures returns the total international trunk legs used —
 // the Fig 7 headline number (2 for the tromboned call).
@@ -169,126 +152,56 @@ type RoamingVGPRSNet struct {
 
 // BuildRoamingVGPRS wires the Fig 8 configuration.
 func BuildRoamingVGPRS(seed int64) *RoamingVGPRSNet {
-	env := sim.NewEnv(seed)
-	rec := trace.NewRecorder()
-	env.SetTracer(rec)
-	dir := h323.NewDirectory()
-	lat := DefaultLatencies()
-
+	t := newTopo(seed, 1, true, nil)
 	n := &RoamingVGPRSNet{
-		Env: env, Rec: rec, Dir: dir,
-		LocalTrunks: isup.NewTrunkGroup("LE-HK<->GW-HK", isup.TrunkLocal, 16),
-		IntlTrunks:  isup.NewTrunkGroup("LE-HK<->GMSC-UK", isup.TrunkInternational, 16),
+		Dir:         h323.NewDirectory(),
+		LocalTrunks: t.trunk("LE-HK<->GW-HK", isup.TrunkLocal, 16),
+		IntlTrunks:  t.trunk("LE-HK<->GMSC-UK", isup.TrunkInternational, 16),
+		HLRUK:       hlr.New(hlr.Config{ID: "HLR-UK"}),
 	}
-
-	n.HLRUK = hlr.New(hlr.Config{ID: "HLR-UK"})
-	mustProvision(n.HLRUK, hlr.Subscriber{
-		IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		Profile: sigmap.SubscriberProfile{MSISDN: RoamerMSISDN, InternationalAllowed: true},
-	})
-	n.VLRHK = vlr.New(vlr.Config{
-		ID: "VLR-HK", HLR: "HLR-UK", HomeCountryCode: "852", MSRNPrefix: "85290000",
-	})
-
-	sgsn, ggsn := buildGPRSCore(gprsCoreConfig{
-		SGSNID: "SGSN-HK", GGSNID: "GGSN-HK", HLR: "HLR-UK", Gi: "GI-HK",
-		PoolPrefix: "10.2.1.0",
-	})
-	n.SGSN = SGSNHandle{sgsn}
-	n.GGSN = GGSNHandle{ggsn}
-
-	router := ipnet.NewRouter("GI-HK")
 	gkHK := ipnet.MustAddr("192.168.2.1")
 	gwAddr := ipnet.MustAddr("192.168.2.2")
-	n.GK = h323.NewGatekeeper(h323.GatekeeperConfig{
-		ID: "GK-HK", Addr: gkHK, Router: "GI-HK", Dir: dir,
+	a := newArea(areaPlan{
+		id:  func(role string) sim.NodeID { return sim.NodeID(role + "-HK") },
+		hlr: "HLR-UK", cc: "852", msrn: "85290000",
+		cell: gsmid.CGI{LAI: hkLAI, CI: 1},
+		gk:   gkHK, pool: netip.MustParsePrefix("10.2.1.0/24"), dir: n.Dir,
+	}, &VGPRSOptions{GKMutate: func(c *h323.GatekeeperConfig) {
 		// Unregistered Hong Kong numbers route out through the gateway —
 		// the paper §4's "traditional telephone set in the PSTN,
 		// connected indirectly through the H.323 network".
-		PSTNGateway: gwAddr, PSTNPrefixes: []string{"852"},
-	})
+		c.PSTNGateway, c.PSTNPrefixes = gwAddr, []string{"852"}
+	}}, nil)
+	n.VLRHK, n.VMSC, n.GK = a.VLR, a.VMSC, a.GK
+	n.SGSN, n.GGSN = SGSNHandle{a.SGSN}, GGSNHandle{a.GGSN}
 	n.Gateway = h323.NewGateway(h323.GatewayConfig{
-		ID: "GW-HK", Addr: gwAddr, Router: "GI-HK", Gatekeeper: gkHK, Dir: dir,
+		ID: "GW-HK", Addr: gwAddr, Router: "GI-HK", Gatekeeper: gkHK, Dir: n.Dir,
 		Exchange: "LE-HK", Trunks: n.LocalTrunks,
 	})
-	router.AddHost(gkHK, "GK-HK")
-	router.AddHost(gwAddr, "GW-HK")
-	router.AddPrefix(mustPrefix("10.2.1.0/24"), "GGSN-HK")
-	dir.Bind(gkHK, "GK-HK")
-	dir.Bind(gwAddr, "GW-HK")
+	a.GI.AddHost(gwAddr, "GW-HK")
+	n.Dir.Bind(gwAddr, "GW-HK")
+	n.MS = newMS("MS-X", roamer, "BTS-HK", hkLAI, &roamerOpts)
 
-	n.VMSC = vmsc.New(vmsc.Config{
-		ID: "VMSC-HK", VLR: "VLR-HK", SGSN: "SGSN-HK",
-		Cell:       gsmid.CGI{LAI: gsmid.LAI{MCC: "454", MNC: "00", LAC: 1}, CI: 1},
-		Gatekeeper: gkHK, Dir: dir,
-	})
-	n.VMSC.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
-
-	bts := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-HK", BSC: "BSC-HK"})
-	bsc := gsm.NewBSC(gsm.BSCConfig{ID: "BSC-HK", MSC: "VMSC-HK", BTSs: []sim.NodeID{"BTS-HK"}})
-	n.MS = gsm.NewMS(gsm.MSConfig{
-		ID: "MS-X", IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		BTS: "BTS-HK", LAI: gsmid.LAI{MCC: "454", MNC: "00", LAC: 1},
-		AutoAnswer: true, AnswerDelay: 200 * time.Millisecond, Talk: true,
-	})
-
+	// The HLR is abroad: every MAP link into it is international.
+	t.add(0, n.HLRUK, a.VLR, a.SGSN, a.GGSN, a.GI, a.GK, n.Gateway, a.VMSC, a.BTS, a.BSC, n.MS)
+	t.subs = append(t.subs, provision{hlr: n.HLRUK, vmsc: n.VMSC, sub: roamer})
+	a.wire(t, "HLR-UK", t.lat.Intl)
+	t.link("MS-X", "BTS-HK", "Um")
+	t.link("GI-HK", "GW-HK", "IP")
 	// The PSTN side: y's local exchange prefers the VoIP gateway for UK
 	// numbers and falls back to the international route.
-	n.GMSCUK = pstn.NewExchange(pstn.ExchangeConfig{
-		ID: "GMSC-UK", HLR: "HLR-UK", MobilePrefixes: []string{"0447"},
-		Routes: []pstn.Route{
-			{Prefix: "0446", Next: "PHONE-UK"}, // UK fixed lines
-		},
-	})
-	n.PhoneUK = pstn.NewPhone(pstn.PhoneConfig{
-		ID: "PHONE-UK", Number: UKFixedNumber, Exchange: "GMSC-UK",
-		AutoAnswer: true, AnswerDelay: 200 * time.Millisecond,
-	})
-	n.LEHK = pstn.NewExchange(pstn.ExchangeConfig{
-		ID: "LE-HK",
-		Routes: []pstn.Route{
-			{Prefix: "044", Next: "GW-HK", Trunks: n.LocalTrunks},
-			{Prefix: "044", Next: "GMSC-UK", Trunks: n.IntlTrunks},
-			{Prefix: "85221", Next: "PHONE-Y"},
-		},
-	})
-	n.PhoneY = pstn.NewPhone(pstn.PhoneConfig{
-		ID: "PHONE-Y", Number: CallerNumber, Exchange: "LE-HK", Talk: true,
-	})
-
-	for _, node := range []sim.Node{
-		n.HLRUK, n.VLRHK, sgsn, ggsn, router, n.GK, n.Gateway, n.VMSC,
-		bts, bsc, n.MS, n.GMSCUK, n.PhoneUK, n.LEHK, n.PhoneY,
-	} {
-		env.AddNode(node)
-	}
-	env.Connect("MS-X", "BTS-HK", "Um", lat.Um)
-	env.Connect("BTS-HK", "BSC-HK", "Abis", lat.Abis)
-	env.Connect("BSC-HK", "VMSC-HK", "A", lat.A)
-	env.Connect("VMSC-HK", "VLR-HK", "B", lat.SS7)
-	env.Connect("VLR-HK", "HLR-UK", "D", lat.Intl)
-	env.Connect("VMSC-HK", "SGSN-HK", "Gb", lat.Gb)
-	env.Connect("SGSN-HK", "GGSN-HK", "Gn", lat.Gn)
-	env.Connect("SGSN-HK", "HLR-UK", "Gr", lat.Intl)
-	env.Connect("GGSN-HK", "HLR-UK", "Gc", lat.Intl)
-	env.Connect("GGSN-HK", "GI-HK", "Gi", lat.Gi)
-	env.Connect("GI-HK", "GK-HK", "IP", lat.LAN)
-	env.Connect("GI-HK", "GW-HK", "IP", lat.LAN)
-	env.Connect("PHONE-Y", "LE-HK", "Line", lat.LAN)
-	env.Connect("LE-HK", "GW-HK", "ISUP", lat.Natl)
-	env.Connect("LE-HK", "GMSC-UK", "ISUP", lat.Intl)
-	env.Connect("GMSC-UK", "HLR-UK", "C", lat.SS7)
-	env.Connect("PHONE-UK", "GMSC-UK", "Line", lat.LAN)
+	p := t.addUKPSTN("HLR-UK", "LE-HK", "GW-HK", n.LocalTrunks, n.IntlTrunks,
+		pstn.PhoneConfig{Talk: true}, roamerOpts.AutoAnswerDelay)
+	n.GMSCUK, n.PhoneUK, n.LEHK, n.PhoneY = p.GMSC, p.PhoneUK, p.LE, p.PhoneY
+	n.Env, n.Rec = t.build()
 	return n
 }
 
 // Register powers on the roamer and waits for the full vGPRS registration
 // (which, per Fig 8, puts x's UK MSISDN into the Hong Kong gatekeeper).
 func (n *RoamingVGPRSNet) Register() error {
-	n.MS.PowerOn(n.Env)
-	n.Env.RunUntil(n.Env.Now() + 30*time.Second)
-	if n.MS.State() != gsm.MSIdle {
-		return fmt.Errorf("netsim: roamer state %v after registration", n.MS.State())
+	if err := powerOn(n.Env, []*gsm.MS{n.MS}); err != nil {
+		return err
 	}
 	if _, ok := n.GK.Lookup(RoamerMSISDN); !ok {
 		return fmt.Errorf("netsim: roamer not in gatekeeper table")

@@ -11,39 +11,63 @@ import (
 // 20 ms frame through the hairpin, including the reusable-message fast
 // path and the chaos loss/jitter draws — to a byte-identical trace and
 // bit-identical per-call MOS at every shard count.
+//
+// The lossless case runs the 2 ms Gb/Gn jitter of the talk-sharded
+// benchmark and the media sweep: jitter bunches downlink frames at the
+// VMSC, so one frame is transcoded while the previous one is still on its
+// way to the MS on the radio shard. Under the race detector it fails if
+// the two share a buffer.
 func TestMediaDeterministicAcrossShards(t *testing.T) {
-	var base *MediaResult
-	for _, shards := range shardCounts {
-		res, err := RunMedia(MediaConfig{
-			Seed: 5, Shards: shards, Calls: 3, Waves: 2,
+	for _, tc := range []struct {
+		name   string
+		cfg    MediaConfig
+		shards []int
+	}{
+		{"loss", MediaConfig{
+			Seed: 5, Calls: 3, Waves: 2,
 			TalkTime: 5 * time.Second, LossRate: 0.02,
 			Jitter: 2 * time.Millisecond, Trace: true,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.Frames == 0 || res.FramesExpected == 0 {
-			t.Fatalf("shards=%d: inert run: %+v", shards, res)
-		}
-		if res.RTPLost == 0 {
-			t.Fatalf("shards=%d: loss matrix never dropped a frame: %+v", shards, res)
-		}
-		if len(res.PerCallMOS) != 6 {
-			t.Fatalf("shards=%d: scored %d calls, want 6", shards, len(res.PerCallMOS))
-		}
-		if base == nil {
-			r := res
-			base = &r
-			continue
-		}
-		compareFingerprints(t, "media", shards, base.Fingerprint, res.Fingerprint)
-		if base.Frames != res.Frames || base.RTPLost != res.RTPLost ||
-			base.RTPReordered != res.RTPReordered {
-			t.Errorf("shards=%d: frame counters diverge: base %+v, got %+v", shards, *base, res)
-		}
-		for i, mos := range res.PerCallMOS {
-			if mos != base.PerCallMOS[i] {
-				t.Errorf("shards=%d: call %d MOS %v, want exactly %v", shards, i, mos, base.PerCallMOS[i])
+		}, shardCounts},
+		{"jitter", MediaConfig{
+			Seed: 5, Calls: 4, Waves: 1,
+			TalkTime: 5 * time.Second,
+			Jitter:   2 * time.Millisecond, Trace: true,
+		}, []int{1, 2}},
+	} {
+		var base *MediaResult
+		for _, shards := range tc.shards {
+			cfg := tc.cfg
+			cfg.Shards = shards
+			res, err := RunMedia(cfg)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
+			}
+			if res.Frames == 0 || res.FramesExpected == 0 {
+				t.Fatalf("%s shards=%d: inert run: %+v", tc.name, shards, res)
+			}
+			if cfg.LossRate > 0 && res.RTPLost == 0 {
+				t.Fatalf("%s shards=%d: loss matrix never dropped a frame: %+v", tc.name, shards, res)
+			}
+			if cfg.LossRate == 0 && res.Frames != res.FramesExpected {
+				t.Fatalf("%s shards=%d: lossless run played %d of %d frames", tc.name, shards, res.Frames, res.FramesExpected)
+			}
+			if want := cfg.Calls * cfg.Waves; len(res.PerCallMOS) != want {
+				t.Fatalf("%s shards=%d: scored %d calls, want %d", tc.name, shards, len(res.PerCallMOS), want)
+			}
+			if base == nil {
+				r := res
+				base = &r
+				continue
+			}
+			compareFingerprints(t, "media "+tc.name, shards, base.Fingerprint, res.Fingerprint)
+			if base.Frames != res.Frames || base.RTPLost != res.RTPLost ||
+				base.RTPReordered != res.RTPReordered {
+				t.Errorf("%s shards=%d: frame counters diverge: base %+v, got %+v", tc.name, shards, *base, res)
+			}
+			for i, mos := range res.PerCallMOS {
+				if mos != base.PerCallMOS[i] {
+					t.Errorf("%s shards=%d: call %d MOS %v, want exactly %v", tc.name, shards, i, mos, base.PerCallMOS[i])
+				}
 			}
 		}
 	}

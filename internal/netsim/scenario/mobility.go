@@ -355,8 +355,7 @@ func RunMobility(cfg MobilityConfig) (MobilityResult, error) {
 	runFor(env, 30*time.Second)
 
 	res.Handovers = n.VMSC.Stats().Handovers + n.VMSC2.Stats().Handovers
-	res.Retransmits = n.SignallingRetransmits() +
-		n.VMSC2.Retransmits() + n.VLR2.Retransmits() + n.SGSN2.Retransmits()
+	res.Retransmits = n.SignallingRetransmits()
 	residual := n.Residual()
 	res.Residual = residual.Total()
 	res.Fingerprint = fingerprintOf(n.VGPRSNet)

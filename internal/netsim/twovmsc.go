@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"vgprs/internal/gprs"
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
 	"vgprs/internal/isup"
@@ -43,105 +42,55 @@ type TwoVMSCNet struct {
 // sharding (opts.Shards >= 3) the second area's elements run on shard 2;
 // at Shards == 2 they share shard 0 with the rest of the core.
 func BuildTwoVMSC(opts VGPRSOptions) *TwoVMSCNet {
-	area1Cell := gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
+	t, n := twoVMSCTopo(opts)
+	n.finish(t)
+	return n
+}
+
+// twoVMSCTopo lists the BuildTwoVMSC network.
+func twoVMSCTopo(opts VGPRSOptions) (*topo, *TwoVMSCNet) {
+	t := opts.topo()
 	area2LAI := gsmid.LAI{MCC: "466", MNC: "92", LAC: 2}
-	area2Cell := gsmid.CGI{LAI: area2LAI, CI: 2}
-	eTrunks := isup.NewTrunkGroup("VMSC-1<->VMSC-2 (E)", isup.TrunkNational, 16)
-
-	// VMSC-1 learns area 2 as a handover target (and its own cell as the
-	// handback destination) on top of whatever the caller's mutator set.
-	callerMutate := opts.VMSCMutate
-	opts.VMSCMutate = func(vcfg *vmsc.Config) {
-		if callerMutate != nil {
-			callerMutate(vcfg)
-		}
-		if vcfg.HandoverTargets == nil {
-			vcfg.HandoverTargets = map[gsmid.CGI]vmsc.HandoverTarget{}
-		}
-		vcfg.HandoverTargets[area2Cell] = vmsc.HandoverTarget{MSC: "VMSC-2", BTS: "BTS-2"}
-		if vcfg.ETrunks == nil {
-			vcfg.ETrunks = map[sim.NodeID]*isup.TrunkGroup{}
-		}
-		vcfg.ETrunks["VMSC-2"] = eTrunks
-		if vcfg.HandbackCells == nil {
-			vcfg.HandbackCells = map[gsmid.CGI]sim.NodeID{}
-		}
-		vcfg.HandbackCells[area1Cell] = "BTS-1"
-	}
-
-	base := BuildVGPRS(opts)
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-	var sig SigProfile
-	if opts.Sig != nil {
-		sig = *opts.Sig
-	}
-
 	n := &TwoVMSCNet{
-		VGPRSNet:  base,
 		Area2LAI:  area2LAI,
 		Area1Cell: area1Cell,
-		Area2Cell: area2Cell,
-		ETrunks:   eTrunks,
+		Area2Cell: gsmid.CGI{LAI: area2LAI, CI: 2},
+		ETrunks:   t.trunk("VMSC-1<->VMSC-2 (E)", isup.TrunkNational, 16),
 	}
-
-	n.VLR2 = vlr.New(vlr.Config{
-		ID: "VLR-2", HLR: "HLR", HomeCountryCode: "886", MSRNPrefix: "88690001",
-		AuthDisabled: opts.AuthDisabled,
-		SigRTO:       sig.RTO, SigRetries: sig.Retries,
-	})
-	sgsn2 := gprs.NewSGSN(gprs.SGSNConfig{
-		ID: "SGSN-2", GGSN: "GGSN-1", HLR: "HLR",
-		SigRTO: sig.RTO, SigRetries: sig.Retries,
-	})
-	n.SGSN2 = SGSNHandle{sgsn2}
-	n.VMSC2 = vmsc.New(vmsc.Config{
-		ID: "VMSC-2", VLR: "VLR-2", SGSN: "SGSN-2",
-		Cell:       area2Cell,
-		Gatekeeper: gkAddr, Dir: base.Dir,
-		SigRTO: sig.RTO, SigRetries: sig.Retries, H323Retries: sig.H323Retries,
-		HandoverTargets: map[gsmid.CGI]vmsc.HandoverTarget{
-			area1Cell: {MSC: "VMSC-1", BTS: "BTS-1"},
-		},
-		ETrunks:       map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": eTrunks},
-		HandbackCells: map[gsmid.CGI]sim.NodeID{area2Cell: "BTS-2"},
-	})
-	bts2 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-2", BSC: "BSC-2"})
-	n.BSC2 = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-2", MSC: "VMSC-2", BTSs: []sim.NodeID{"BTS-2"},
-		TCHCapacity: opts.TCHCapacity,
+	// The areas are mutual handover peers; VMSC-1 learns area 2 on top of
+	// whatever the caller's mutator set.
+	n.VGPRSNet = vgprsTopo(t, opts, func(c *vmsc.Config) {
+		handover(c, "BTS-1", n.Area2Cell, "VMSC-2", "BTS-2", n.ETrunks)
 	})
 
-	for _, node := range []sim.Node{n.VLR2, sgsn2, n.VMSC2, bts2, n.BSC2} {
-		env.AddNode(node)
-	}
-	env.Connect("BTS-2", "BSC-2", "Abis", lat.Abis)
-	env.Connect("BSC-2", "VMSC-2", "A", lat.A)
-	env.Connect("VMSC-2", "VLR-2", "B", lat.SS7)
-	env.Connect("VLR-2", "HLR", "D", lat.SS7)
-	env.Connect("VMSC-2", "SGSN-2", "Gb", lat.Gb)
-	env.Connect("SGSN-2", "GGSN-1", "Gn", lat.Gn)
-	env.Connect("SGSN-2", "HLR", "Gr", lat.SS7)
-	env.Connect("VMSC-1", "VMSC-2", "E", lat.SS7)
+	// The second area shares area 1's GGSN and H.323 zone. Its elements
+	// get the signalling profile, authentication and channel capacity of
+	// area 1, but neither the ablations nor the caller's VMSC mutator.
+	a := newArea(areaPlan{
+		id:  func(role string) sim.NodeID { return sim.NodeID(role + "-2") },
+		hlr: "HLR", cc: "886", msrn: "88690001", cell: n.Area2Cell,
+		gk: gkAddr, dir: n.Dir, ggsn: "GGSN-1",
+	}, &VGPRSOptions{AuthDisabled: opts.AuthDisabled, TCHCapacity: opts.TCHCapacity, Sig: opts.Sig},
+		func(c *vmsc.Config) { handover(c, "BTS-2", area1Cell, "VMSC-1", "BTS-1", n.ETrunks) })
+	n.VLR2, n.VMSC2, n.SGSN2, n.BSC2 = a.VLR, a.VMSC, SGSNHandle{a.SGSN}, a.BSC
 
-	for _, ms := range base.MSs {
-		env.Connect(ms.ID(), "BTS-2", "Um", lat.Um)
-	}
-	for _, sub := range base.Subscribers {
-		n.VMSC2.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
-	}
-
-	// With three or more shards the second area gets its own: every link
-	// into it (A, E, D, Gn, Gr, Um) has non-zero latency, so the
-	// conservative lookahead stays positive. At exactly two shards the
-	// area-2 elements stay on shard 0 with the rest of the core.
+	// Area 2 lists VLR, SGSN, VMSC in that order (area 1: VLR, VMSC,
+	// SGSN). With three or more shards it gets its own: every link into it
+	// (A, E, D, Gn, Gr, Um) has non-zero latency, so the conservative
+	// lookahead stays positive. At exactly two shards it stays on shard 0
+	// with the rest of the core.
+	shard := 0
 	if opts.Shards >= 3 {
-		for _, id := range []sim.NodeID{"VLR-2", "SGSN-2", "VMSC-2", "BTS-2", "BSC-2"} {
-			env.AssignShard(id, 2)
-		}
+		shard = 2
 	}
-	return n
+	t.add(shard, a.VLR, a.SGSN, a.VMSC, a.BTS, a.BSC)
+	a.wire(t, "HLR", 0)
+	t.link("VMSC-1", "VMSC-2", "E")
+	for _, ms := range n.MSs {
+		t.link(ms.ID(), "BTS-2", "Um")
+	}
+	for _, sub := range n.Subscribers {
+		t.provision(nil, n.VMSC2, sub)
+	}
+	return t, n
 }

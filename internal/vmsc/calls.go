@@ -717,23 +717,36 @@ func (v *VMSC) forget(call *vCall) {
 // information is translated into GPRS packets through vocoder and packet
 // control unit") ---
 
+// dnRing is how many transcoded downlink frames a call keeps in flight.
+// A downlink frame's bytes travel by reference to the MS, which reads them
+// one radio path (A+Abis+Um, 13.5 ms by default) after the vocoder sends
+// them; the next frames can arrive early by up to the media legs' summed
+// jitter (4 x netsim.MaxMediaJitter = 16 ms). Four 20 ms beats therefore
+// keep every frame's slot untouched until well after the MS has read it —
+// for radio paths up to ~60 ms — and, on the sharded engine, in a later
+// synchronization window than the read.
+const dnRing = 4
+
 // callMedia is the per-call reusable media-plane state. The talk path is a
-// pipeline with a 20 ms beat: each stage owns one buffer that it overwrites
+// pipeline with a 20 ms beat: each stage owns buffers that it overwrites
 // once per frame interval, and every downstream consumer either copies the
-// bytes at arrival or finishes with them well inside the interval — so no
-// per-frame allocation and no free step are needed. upBuf/dnFrame hold the
-// transcoded frame while the vocoder delay elapses; rtpBuf holds the
+// bytes at arrival or finishes with them before they are reused — so no
+// per-frame allocation and no free step are needed. upBuf holds the
+// transcoded uplink frame while the vocoder delay elapses; rtpBuf holds the
 // marshalled RTP packet whose bytes the SGSN/GGSN relay legs alias until
-// the far SGSN copies them (~4 ms + chaos jitter later). upJob/dnJob are
-// the pre-bound timer records that make the vocoder delay closure-free.
+// the far SGSN copies them (~4 ms + chaos jitter later). dnFrames is a ring
+// of transcoded downlink frames, each owned by its frame until the MS has
+// read it (see dnRing); dnSlot is the newest. upJob/dnJob are the
+// pre-bound timer records that make the vocoder delay closure-free.
 type callMedia struct {
-	upBuf   [codec.FrameBytes]byte
-	upLen   int
-	rtpBuf  []byte
-	dnFrame [codec.FrameBytes]byte
-	dnLen   int
-	upJob   frameJob
-	dnJob   frameJob
+	upBuf    [codec.FrameBytes]byte
+	upLen    int
+	rtpBuf   []byte
+	dnFrames [dnRing][codec.FrameBytes]byte
+	dnLen    int
+	dnSlot   int
+	upJob    frameJob
+	dnJob    frameJob
 	// rx is the RFC 3550 receiver accounting for the RTP stream the far
 	// party sends to this call's endpoint: sequence-gap loss on the core
 	// legs, reordering, and interarrival jitter.
@@ -811,8 +824,11 @@ func (v *VMSC) downlinkVoice(env *sim.Env, entry *msEntry, payload []byte) {
 	v.stats.FramesDownlink++
 	call.med.rx.Receive(p, env.Now(), 0, false)
 	// Copy at arrival: the RTP payload aliases the relay pipeline's
-	// reusable buffers, which the next frame overwrites.
-	call.med.dnLen = codec.TranscodeInto(call.med.dnFrame[:], p.Payload)
+	// reusable buffers, which the next frame overwrites. The copy goes to
+	// the ring's next slot, leaving the frames still on their way to the
+	// MS intact.
+	call.med.dnSlot = (call.med.dnSlot + 1) % dnRing
+	call.med.dnLen = codec.TranscodeInto(call.med.dnFrames[call.med.dnSlot][:], p.Payload)
 	if call.med.dnJob.call == nil {
 		call.med.dnJob = frameJob{v: v, call: call}
 	}
@@ -831,12 +847,13 @@ func downlinkFire(arg any) {
 	}
 	env := call.env
 	call.seqDown++
+	frame := call.med.dnFrames[call.med.dnSlot][:call.med.dnLen]
 	if call.hoActive {
 		// Post-handover: the radio leg is behind the E trunk.
 		call.hoSeq++
 		env.Send(j.v.cfg.ID, call.hoPeer, isup.TrunkFrame{
 			CIC: call.hoCIC, CallRef: call.hoRef, Seq: call.hoSeq,
-			Payload: call.med.dnFrame[:call.med.dnLen],
+			Payload: frame,
 		})
 		return
 	}
@@ -846,7 +863,7 @@ func downlinkFire(arg any) {
 	}
 	env.Send(j.v.cfg.ID, entry.bsc, gsm.TCHFrame{
 		Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
-		Seq: call.seqDown, Downlink: true, Payload: call.med.dnFrame[:call.med.dnLen],
+		Seq: call.seqDown, Downlink: true, Payload: frame,
 	})
 }
 
