@@ -109,6 +109,10 @@ var scaleCell = gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
 
 const scaleWave = 10_000
 
+// scaleHold is how long a full-stack call stays up: long enough in
+// simulated time for both voice-PDP activations to land.
+const scaleHold = 100 * time.Millisecond
+
 // scaleMS names the i-th subscriber's MS in the full-stack run. The name
 // is carried in radio messages and retained by the VMSC's MS table, so it
 // is part of the per-subscriber cost that run charges.
@@ -126,7 +130,6 @@ func scaleMS(i int) sim.NodeID { return sim.NodeID(fmt.Sprintf("MS%07d", i+1)) }
 type loadNode struct {
 	n      int
 	ptmsis []uint32 // core-only: each subscriber's P-TMSI
-	hold   time.Duration
 
 	accepts int
 	rejects int
@@ -179,12 +182,11 @@ func (d *loadNode) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.
 		env.Send(d.ID(), from, gsm.Alerting{Leg: gsm.LegA, MS: m.MS, CallRef: m.CallRef})
 		env.Send(d.ID(), from, gsm.Connect{Leg: gsm.LegA, MS: m.MS, CallRef: m.CallRef})
 	case gsm.Connect:
-		// The MO leg answered end to end: the call set up. Hold briefly —
-		// long enough in simulated time for both voice-PDP activations to
-		// land — then hang up.
+		// The MO leg answered end to end: the call set up. Hold it for
+		// scaleHold, then hang up.
 		d.calls++
 		ms, ref := m.MS, m.CallRef
-		env.After(d.hold, func() {
+		env.After(scaleHold, func() {
 			env.Send(d.ID(), from, gsm.Disconnect{Leg: gsm.LegA, MS: ms, CallRef: ref})
 		})
 	}
@@ -205,7 +207,7 @@ func runScale(seed int64, subs int, fullStack bool) (scaleRun, error) {
 	var r scaleRun
 	p := &r.ScalePoint
 	p.Subs = subs
-	d := &loadNode{n: subs, hold: 100 * time.Millisecond}
+	d := &loadNode{n: subs}
 	if !fullStack {
 		d.ptmsis = make([]uint32, subs)
 	}
