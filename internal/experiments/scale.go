@@ -457,28 +457,24 @@ func (s ScaleSweep) String() string {
 		"SCALE: slab-backed core residency and throughput",
 		"subscribers", "bytes/sub", "attach/s", "call setup/s", "churn/s", "leftover", "imbalance")
 	for _, p := range s.Core {
-		core.AddRow(
-			fmt.Sprintf("%d", p.Subs),
-			fmt.Sprintf("%.0f", p.BytesPerSub),
-			fmt.Sprintf("%.0f", p.AttachPerSec),
-			fmt.Sprintf("%.0f", p.CallSetupPerSec),
-			fmt.Sprintf("%.0f", p.ChurnPerSec),
-			fmt.Sprintf("%d", p.DetachLeftover),
-			fmt.Sprintf("%d", p.SlabImbalance),
-		)
+		core.AddRow(scaleRow(p.scaleAttach, p.scaleCalls, p.scaleAudit, fmt.Sprintf("%.0f", p.ChurnPerSec))...)
 	}
 	full := metrics.NewTable(
 		"SCALE-FULL: full-stack residency and throughput (Fig 2(b) topology)",
 		"subscribers", "bytes/sub", "attach/s", "call setup/s", "leftover", "imbalance")
 	for _, p := range s.FullStack {
-		full.AddRow(
-			fmt.Sprintf("%d", p.Subs),
-			fmt.Sprintf("%.0f", p.BytesPerSub),
-			fmt.Sprintf("%.0f", p.AttachPerSec),
-			fmt.Sprintf("%.0f", p.CallSetupPerSec),
-			fmt.Sprintf("%d", p.DetachLeftover),
-			fmt.Sprintf("%d", p.SlabImbalance),
-		)
+		full.AddRow(scaleRow(p.scaleAttach, p.scaleCalls, p.scaleAudit)...)
 	}
 	return strings.Join([]string{core.String(), full.String()}, "\n\n")
+}
+
+// scaleRow renders the columns both scale tables share, with any extra
+// columns between the throughputs and the recycle audit.
+func scaleRow(a scaleAttach, c scaleCalls, au scaleAudit, extra ...string) []string {
+	row := []string{
+		fmt.Sprintf("%d", a.Subs), fmt.Sprintf("%.0f", a.BytesPerSub),
+		fmt.Sprintf("%.0f", a.AttachPerSec), fmt.Sprintf("%.0f", c.CallSetupPerSec),
+	}
+	row = append(row, extra...)
+	return append(row, fmt.Sprintf("%d", au.DetachLeftover), fmt.Sprintf("%d", au.SlabImbalance))
 }
