@@ -29,19 +29,22 @@ race:
 
 check: vet build test race
 
-# Short coverage-guided fuzz pass over every wire decoder, seeded from the
-# committed corpora. CI runs this; it is a smoke test for decoder panics,
-# not a soak.
+# Short coverage-guided fuzz pass over every wire decoder and the slab
+# allocator (FuzzSlab: handle generations, pointer stability and audits
+# against a map model), seeded from the committed corpora. CI runs this; it
+# is a smoke test for panics and broken invariants, not a soak.
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
 		$(GO) test $$pkg -fuzz=FuzzDecode -fuzztime=10s || exit 1; \
 	done
+	$(GO) test ./internal/slab/ -fuzz=FuzzSlab -fuzztime=10s
 
-# Longer local fuzzing session per decoder.
+# Longer local fuzzing session per decoder and for the slab allocator.
 fuzz:
 	@for pkg in $(FUZZ_PKGS); do \
 		$(GO) test $$pkg -fuzz=FuzzDecode -fuzztime=5m || exit 1; \
 	done
+	$(GO) test ./internal/slab/ -fuzz=FuzzSlab -fuzztime=5m
 
 # Full benchmark suite (paper artifacts + engine micro-benchmarks).
 bench:

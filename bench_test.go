@@ -12,6 +12,7 @@ package vgprs_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -329,24 +330,49 @@ func BenchmarkR1RegistrationStorm(b *testing.B) {
 // registration stack on the pooled codec path: building the standard 50-MS
 // topology and registering every MS must stay under 5,200 heap allocations
 // (down from 10,308 before the codecs reused buffers). The measured cost is
-// 4,980 — 4,861 on the pooled path plus ~2 allocations per node for the
+// 4,784: 4,861 on the pooled path, plus ~2 allocations per node for the
 // lazily-created per-node RNG streams the sharded engine's determinism
-// contract requires — and the ~4% headroom absorbs Go-version drift in map
+// contract requires, less the per-shard slab chunks and generation tables
+// that each node store no longer allocates. The ~8% headroom absorbs Go-version drift in map
 // growth.
 func TestRegistrationAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs steady-state measurement")
 	}
 	const budget = 5200
-	allocs := testing.AllocsPerRun(5, func() {
-		n := netsim.BuildVGPRS(netsim.VGPRSOptions{
-			Seed: 1, NumMS: 50, NoTrace: true,
-		})
-		if err := n.RegisterAll(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs := testing.AllocsPerRun(5, func() { registerFiftyMS(t) })
 	if allocs > budget {
 		t.Fatalf("50-MS registration allocated %.0f objects/op, budget %d", allocs, budget)
+	}
+}
+
+// TestRegistrationBytesBudget is the byte budget for the same 50-MS build
+// and registration: at most 1.2 MB allocated per op. Object counts alone
+// missed an eightfold byte regression (825 KB to 6.5 MB/op) while every
+// node store paid for a whole 1,024-record slab chunk per shard on its
+// first insert; with geometrically grown chunks and one slab per store the
+// op costs ~0.9 MB.
+func TestRegistrationBytesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("byte budget needs steady-state measurement")
+	}
+	const budget, runs = 1_200_000, 5
+	registerFiftyMS(t) // warm the codec pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		registerFiftyMS(t)
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > budget {
+		t.Fatalf("50-MS registration allocated %d B/op, budget %d", perOp, budget)
+	}
+}
+
+// registerFiftyMS builds the standard 50-MS topology and registers every MS.
+func registerFiftyMS(t *testing.T) {
+	n := netsim.BuildVGPRS(netsim.VGPRSOptions{Seed: 1, NumMS: 50, NoTrace: true})
+	if err := n.RegisterAll(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -44,9 +44,6 @@ type GGSNConfig struct {
 	MaxKbps uint16
 }
 
-// ggsnShards is the slab fan-out; contexts spread by TID hash.
-const ggsnShards = 8
-
 // maxQueuedPerAddr bounds the packets parked per destination address while
 // network-initiated activation runs. A paging burst beyond the cap drops
 // the overflow (counted in QueueDrops) instead of pinning memory for the
@@ -85,7 +82,7 @@ type GGSN struct {
 	dm   *ss7.DialogueManager
 
 	mu      sync.Mutex
-	recs    *slab.Sharded[ggsnRec]
+	recs    *slab.Slab[ggsnRec]
 	byTID   *slab.Index[uint64]
 	byAddr  *slab.Index[netip.Addr]
 	names   slab.Syms[string] // SGSN node names
@@ -138,7 +135,7 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 		cfg:           cfg,
 		pool:          pool,
 		dm:            ss7.NewDialogueManager(),
-		recs:          slab.NewSharded[ggsnRec](ggsnShards),
+		recs:          slab.NewSlab[ggsnRec](),
 		byTID:         slab.NewIndex[uint64](slab.HashUint64),
 		byAddr:        slab.NewIndex[netip.Addr](hashAddr),
 		static:        make(map[netip.Addr]gsmid.IMSI),
@@ -214,26 +211,24 @@ func (g *GGSN) QueuedPackets() int {
 	return n
 }
 
-// SlabImbalance audits the slab storage: per-shard occupancy must balance
-// and both indexes must resolve to live records that agree with the key.
-// Non-zero means a context leaked or was lost.
+// SlabImbalance audits the slab storage: occupancy must balance, both
+// indexes must resolve to live records that agree with the key, and the
+// TID index must reach every live record. Non-zero means a context leaked
+// or was lost.
 func (g *GGSN) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	imb := 0
-	perShard := make([]int, ggsnShards)
+	indexed := 0
 	g.byTID.Range(func(k uint64, h slab.Handle) bool {
-		r := g.recs.Get(h)
-		if r == nil || uint64(r.tid) != k {
+		if r := g.recs.Get(h); r == nil || uint64(r.tid) != k {
 			imb++
-			return true
+		} else {
+			indexed++
 		}
-		perShard[h.Shard()]++
 		return true
 	})
-	for _, a := range g.recs.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
-	}
+	imb += g.recs.Audit().Against(indexed)
 	g.byAddr.Range(func(k netip.Addr, h slab.Handle) bool {
 		if r := g.recs.Get(h); r == nil || r.address != k {
 			imb++
@@ -351,7 +346,7 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 		env.Send(g.cfg.ID, sgsn, gtp.CreatePDPResponse{Seq: m.Seq, Cause: gtp.CauseSystemFailure})
 		return
 	}
-	h, r := g.recs.Alloc(int(slab.HashUint64(uint64(tid)) & (ggsnShards - 1)))
+	h, r := g.recs.Alloc()
 	r.imsi = m.IMSI.Pack()
 	r.nsapi = m.NSAPI
 	r.tid = tid

@@ -42,9 +42,6 @@ type SGSNConfig struct {
 	EchoMisses int
 }
 
-// sgsnShards is the slab fan-out; subscribers spread by IMSI hash.
-const sgsnShards = 8
-
 // mmRec is the SGSN's slab-resident per-subscriber mobility context:
 // fixed size, no heap pointers. The Gb peer and MS correlation handles are
 // interned symbols (their cardinality is the topology size); PDP contexts
@@ -133,8 +130,8 @@ type SGSN struct {
 	dm  *ss7.DialogueManager
 
 	mu      sync.Mutex
-	mms     *slab.Sharded[mmRec]
-	pdps    *slab.Sharded[pdpRec]
+	mms     *slab.Slab[mmRec]
+	pdps    *slab.Slab[pdpRec]
 	byTLLI  *slab.Index[uint32]
 	byIMSI  *slab.Index[gsmid.PackedDigits]
 	byTID   *slab.Index[uint64]
@@ -316,8 +313,8 @@ func NewSGSN(cfg SGSNConfig) *SGSN {
 	return &SGSN{
 		cfg:     cfg,
 		dm:      ss7.NewDialogueManager(),
-		mms:     slab.NewSharded[mmRec](sgsnShards),
-		pdps:    slab.NewSharded[pdpRec](sgsnShards),
+		mms:     slab.NewSlab[mmRec](),
+		pdps:    slab.NewSlab[pdpRec](),
 		byTLLI:  slab.NewIndex[uint32](slab.HashUint32),
 		byIMSI:  slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		byTID:   slab.NewIndex[uint64](slab.HashUint64),
@@ -371,15 +368,16 @@ func (s *SGSN) Retransmits() uint64 {
 }
 
 // SlabImbalance audits the slab storage: every index entry must resolve to
-// a live record that agrees with the key, per-shard occupancy must balance
-// (cap == live + free), and the PDP slab population must match the sum of
+// a live record that agrees with the key, both slabs' occupancy must
+// balance (cap == live + free), the IMSI index must reach every live
+// mobility record, and the PDP slab population must match the sum of
 // per-subscriber context lists and the TID index. Non-zero means a context
 // leaked or was lost; the soak/leak gates assert zero.
 func (s *SGSN) SlabImbalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	imb := 0
-	perShard := make([]int, sgsnShards)
+	indexed := 0
 	pdpListed := 0
 	tlliExpected := 0
 	s.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
@@ -388,7 +386,7 @@ func (s *SGSN) SlabImbalance() int {
 			imb++
 			return true
 		}
-		perShard[h.Shard()]++
+		indexed++
 		// Each subscriber owns its local TLLI entry plus, when roaming in
 		// on a foreign TLLI, exactly one alias — a re-attach that forgets
 		// to unindex the old alias shows up as excess byTLLI population.
@@ -413,13 +411,7 @@ func (s *SGSN) SlabImbalance() int {
 		pdpListed += n
 		return true
 	})
-	for _, a := range s.mms.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
-	}
-	for _, a := range s.pdps.Audit() {
-		imb += a.Imbalance()
-	}
-	imb += abs(pdpListed - s.pdps.Len())
+	imb += s.mms.Audit().Against(indexed) + s.pdps.Audit().Against(pdpListed)
 	imb += abs(s.byTID.Len() - s.pdps.Len())
 	imb += abs(tlliExpected - s.byTLLI.Len())
 	s.byTLLI.Range(func(_ uint32, h slab.Handle) bool {
@@ -467,8 +459,8 @@ func (s *SGSN) findPDP(r *mmRec, nsapi uint8) *pdpRec {
 }
 
 // addPDP links a new context record onto the subscriber. Callers hold s.mu.
-func (s *SGSN) addPDP(mm slab.Handle, r *mmRec) (slab.Handle, *pdpRec) {
-	h, p := s.pdps.Alloc(mm.Shard())
+func (s *SGSN) addPDP(r *mmRec) (slab.Handle, *pdpRec) {
+	h, p := s.pdps.Alloc()
 	p.next = r.pdpHead
 	r.pdpHead = h
 	r.npdp++
@@ -656,7 +648,7 @@ func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m A
 	r := s.mms.Get(h)
 	if r == nil {
 		s.nextPT++
-		h, r = s.mms.Alloc(int(packed.Hash() & (sgsnShards - 1)))
+		h, r = s.mms.Alloc()
 		r.imsi = packed
 		r.ptmsi = gsmid.PTMSI(s.nextPT)
 		s.byIMSI.Put(packed, h)
@@ -838,7 +830,7 @@ func (s *SGSN) finishActivate(env *sim.Env, t gtpTxn, resp sim.Message) {
 		s.cleanupTunnel(env, cr.TID)
 		return
 	}
-	_, p := s.addPDP(t.mm, r)
+	_, p := s.addPDP(r)
 	p.nsapi = t.nsapi
 	p.tid = cr.TID
 	if cr.Address != "" {

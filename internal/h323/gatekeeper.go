@@ -127,8 +127,6 @@ type gkIMSI struct {
 	imsi  gsmid.PackedDigits
 }
 
-const gkShards = 8
-
 // Gatekeeper is a standard H.323 gatekeeper: registration, address
 // translation, call admission, location queries, and disengage accounting.
 // Deliberately: it has no GSM MAP interface and never sees an IMSI — the
@@ -136,7 +134,7 @@ const gkShards = 8
 // test C4 audits.
 //
 // All three per-subscriber tables (registrations, charging records, and the
-// TR-mode IMSI cache) live in sharded value slabs reached through
+// TR-mode IMSI cache) live in value slabs reached through
 // open-addressing indexes keyed by BCD-packed aliases, the same treatment
 // the core's VLR/HLR/SGSN stores use: GSM-scale populations cost the GC
 // nothing and iteration order is deterministic.
@@ -146,11 +144,11 @@ type Gatekeeper struct {
 	dm  *ss7.DialogueManager
 
 	mu      sync.Mutex
-	regs    *slab.Sharded[gkReg]
+	regs    *slab.Slab[gkReg]
 	byAlias *slab.Index[gsmid.PackedDigits]
-	calls   *slab.Sharded[gkCall]
+	calls   *slab.Slab[gkCall]
 	byCall  *slab.Index[gkCallKey]
-	imsiTab *slab.Sharded[gkIMSI] // TR 23.923 mode only
+	imsiTab *slab.Slab[gkIMSI] // TR 23.923 mode only
 	byIMSI  *slab.Index[gsmid.PackedDigits]
 	nextEP  uint32
 	admits  uint64
@@ -167,11 +165,11 @@ func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 	gk := &Gatekeeper{
 		cfg:     cfg,
 		dm:      ss7.NewDialogueManager(),
-		regs:    slab.NewSharded[gkReg](gkShards),
+		regs:    slab.NewSlab[gkReg](),
 		byAlias: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		calls:   slab.NewSharded[gkCall](gkShards),
+		calls:   slab.NewSlab[gkCall](),
 		byCall:  slab.NewIndex[gkCallKey](hashCallKey),
-		imsiTab: slab.NewSharded[gkIMSI](gkShards),
+		imsiTab: slab.NewSlab[gkIMSI](),
 		byIMSI:  slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 	}
 	gk.ep = &Endpoint{
@@ -270,64 +268,47 @@ func (g *Gatekeeper) KnownIMSIs() int {
 }
 
 // SlabImbalance cross-checks every index against its slab: each index entry
-// must resolve to a live row carrying the same key, each slab shard's live
-// count must match what the indexes reference, and allocated capacity must
-// be fully accounted as live or free. Zero means no leaked rows, no stale
+// must resolve to a live row carrying the same key, each slab's live count
+// must match what its index references, and allocated capacity must be
+// fully accounted as live or free. Zero means no leaked rows, no stale
 // handles, and no books that disagree — the soak gate's invariant.
 func (g *Gatekeeper) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	imb := 0
 
-	perShard := make(map[int]int)
+	indexed := 0
 	g.byAlias.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		r := g.regs.Get(h)
-		if r == nil || r.alias != k {
+		if r := g.regs.Get(h); r == nil || r.alias != k {
 			imb++
-			return true
+		} else {
+			indexed++
 		}
-		perShard[h.Shard()]++
 		return true
 	})
-	for _, a := range g.regs.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
+	imb += g.regs.Audit().Against(indexed)
 
-	clear(perShard)
+	indexed = 0
 	g.byCall.Range(func(k gkCallKey, h slab.Handle) bool {
-		c := g.calls.Get(h)
-		if c == nil || c.caller != k.caller || c.ref != k.ref {
+		if c := g.calls.Get(h); c == nil || c.caller != k.caller || c.ref != k.ref {
 			imb++
-			return true
+		} else {
+			indexed++
 		}
-		perShard[h.Shard()]++
 		return true
 	})
-	for _, a := range g.calls.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
+	imb += g.calls.Audit().Against(indexed)
 
-	clear(perShard)
+	indexed = 0
 	g.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		r := g.imsiTab.Get(h)
-		if r == nil || r.alias != k {
+		if r := g.imsiTab.Get(h); r == nil || r.alias != k {
 			imb++
-			return true
+		} else {
+			indexed++
 		}
-		perShard[h.Shard()]++
 		return true
 	})
-	for _, a := range g.imsiTab.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
-	return imb
-}
-
-func absInt(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
+	return imb + g.imsiTab.Audit().Against(indexed)
 }
 
 // Receive implements sim.Node.
@@ -439,7 +420,7 @@ func (g *Gatekeeper) resolveIMSIThen(env *sim.Env, src netip.Addr, m RRQ) {
 		if row := g.imsiTab.Get(g.byIMSI.Get(key)); row != nil {
 			row.imsi = ack.IMSI.Pack()
 		} else {
-			h, row := g.imsiTab.Alloc(int(key.Hash() & (gkShards - 1)))
+			h, row := g.imsiTab.Alloc()
 			row.alias, row.imsi = key, ack.IMSI.Pack()
 			g.byIMSI.Put(key, h)
 		}
@@ -480,7 +461,7 @@ func (g *Gatekeeper) handleRRQ(env *sim.Env, src netip.Addr, m RRQ) {
 	} else {
 		g.nextEP++
 		epNum = g.nextEP
-		h, row := g.regs.Alloc(int(key.Hash() & (gkShards - 1)))
+		h, row := g.regs.Alloc()
 		row.alias, row.signalAddr, row.signalPort = key, m.SignalAddr, m.SignalPort
 		row.epID, row.expiresAt = epNum, expiryAt(env.Now(), granted)
 		g.byAlias.Put(key, h)
@@ -592,7 +573,7 @@ func (g *Gatekeeper) openCall(m ARQ, now time.Duration) {
 	if !g.byCall.Get(key).IsZero() {
 		return
 	}
-	h, rec := g.calls.Alloc(int(hashCallKey(key) & (gkShards - 1)))
+	h, rec := g.calls.Alloc()
 	rec.caller, rec.called = key.caller, m.CalledAlias.Pack()
 	rec.ref, rec.admittedAt = m.CallRef, now
 	g.byCall.Put(key, h)

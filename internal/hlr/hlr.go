@@ -45,9 +45,6 @@ type Record struct {
 	SGSN string
 }
 
-// hlrShards is the slab fan-out; subscribers spread by IMSI hash.
-const hlrShards = 8
-
 // hlrRec is the slab-resident subscriber record: fixed size, pointer-free.
 // Identities are BCD-packed; serving-element names and the static PDP
 // address are interned symbols (their cardinality is bounded by topology
@@ -89,7 +86,7 @@ type HLR struct {
 	dm  *ss7.DialogueManager
 
 	mu       sync.Mutex
-	recs     *slab.Sharded[hlrRec]
+	recs     *slab.Slab[hlrRec]
 	byIMSI   *slab.Index[gsmid.PackedDigits]
 	byMSISDN *slab.Index[gsmid.PackedDigits]
 	strs     slab.Syms[string] // node names + static PDP addresses
@@ -108,7 +105,7 @@ func New(cfg Config) *HLR {
 	return &HLR{
 		cfg:      cfg,
 		dm:       ss7.NewDialogueManager(),
-		recs:     slab.NewSharded[hlrRec](hlrShards),
+		recs:     slab.NewSlab[hlrRec](),
 		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		byMSISDN: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 	}
@@ -168,8 +165,7 @@ func (h *HLR) Provision(s Subscriber) error {
 	if !h.byMSISDN.Get(msisdn).IsZero() {
 		return fmt.Errorf("hlr: duplicate MSISDN %s", s.MSISDN)
 	}
-	shard := int(imsi.Hash() & (hlrShards - 1))
-	hd, r := h.recs.Alloc(shard)
+	hd, r := h.recs.Alloc()
 	r.imsi = imsi
 	r.msisdn = msisdn
 	r.ki = s.Ki
@@ -210,25 +206,22 @@ func (h *HLR) LookupByMSISDN(msisdn gsmid.MSISDN) (Record, bool) {
 }
 
 // SlabImbalance audits the slab storage: both identity indexes must hold
-// exactly one entry per live record and per-shard occupancy must balance.
+// exactly one entry per live record and slab occupancy must balance.
 // Non-zero means records were lost or leaked.
 func (h *HLR) SlabImbalance() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	imb := 0
-	perShard := make([]int, hlrShards)
+	indexed := 0
 	h.byIMSI.Range(func(k gsmid.PackedDigits, hd slab.Handle) bool {
-		r := h.recs.Get(hd)
-		if r == nil || r.imsi != k {
+		if r := h.recs.Get(hd); r == nil || r.imsi != k {
 			imb++
-			return true
+		} else {
+			indexed++
 		}
-		perShard[hd.Shard()]++
 		return true
 	})
-	for _, a := range h.recs.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
-	}
+	imb += h.recs.Audit().Against(indexed)
 	h.byMSISDN.Range(func(k gsmid.PackedDigits, hd slab.Handle) bool {
 		if r := h.recs.Get(hd); r == nil || r.msisdn != k {
 			imb++
@@ -236,13 +229,6 @@ func (h *HLR) SlabImbalance() int {
 		return true
 	})
 	return imb
-}
-
-func abs(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
 }
 
 // Receive implements sim.Node: the MAP server side of the HLR.

@@ -13,11 +13,13 @@
 // tags so a stale handle can never resurrect a recycled slot.
 package slab
 
-// Handle names one live slot in a Sharded slab. The packed layout is
+import "math/bits"
+
+// Handle names one live slot in a Slab. The packed layout is
 //
 //	bits 40..63  generation (24 bits, odd while the slot is live)
-//	bits 32..39  shard index (8 bits)
-//	bits  0..31  slot index + 1 within the shard
+//	bits 32..39  shard index (8 bits; always 0 outside a Sharded set)
+//	bits  0..31  slot index + 1 within the slab
 //
 // The +1 on the slot index keeps the zero Handle permanently invalid, so
 // Index tables can use 0 as their empty marker and callers can use the
@@ -46,13 +48,49 @@ func makeHandle(shard int, slot uint32, gen uint32) Handle {
 	return Handle(uint64(gen&genMask)<<40 | uint64(shard)<<32 | uint64(slot+1))
 }
 
-// chunkSize is the number of records per slab chunk. Chunks are allocated
-// whole and never move, so a *T returned by Alloc or Get stays valid until
-// the slot is freed — no matter how much the slab grows afterwards.
-const chunkSize = 1024
+// Chunk geometry. A slab's chunks grow geometrically from firstChunk
+// records, doubling up to chunkSize, and every later chunk holds chunkSize
+// records: 16, 32, 64, 128, 256, 512, 1024, 1024, ... A store holding a
+// handful of records therefore pays for a handful of slots, while a
+// million-record store still grows in fixed 1,024-record steps. Chunks are
+// allocated whole and never move, so a *T returned by Alloc or Get stays
+// valid until the slot is freed — no matter how much the slab grows
+// afterwards.
+const (
+	firstChunkLog = 4
+	chunkSizeLog  = 10
+	firstChunk    = 1 << firstChunkLog
+	chunkSize     = 1 << chunkSizeLog
+	// growChunks and growSlots are the number of doubling chunks
+	// (16 .. 512) and the slots they hold together (1,008).
+	growChunks = chunkSizeLog - firstChunkLog
+	growSlots  = chunkSize - firstChunk
+)
 
-// Slab is a single-shard arena of T records with a generational free-list.
-// The zero value is not usable; use NewSlab or Sharded.
+// locate maps a slot index to its chunk and the offset within it. In the
+// doubling chunks, slot+firstChunk has its top bit at position
+// chunk+firstChunkLog and the remaining bits are the offset; past them,
+// chunks are a fixed chunkSize wide.
+func locate(slot uint32) (chunk, off uint32) {
+	if slot < growSlots {
+		x := slot + firstChunk
+		top := uint32(bits.Len32(x)) - 1
+		return top - firstChunkLog, x - 1<<top
+	}
+	slot -= growSlots
+	return growChunks + slot>>chunkSizeLog, slot & (chunkSize - 1)
+}
+
+// chunkLen is the record count of the given chunk.
+func chunkLen(chunk int) int {
+	if chunk < growChunks {
+		return firstChunk << chunk
+	}
+	return chunkSize
+}
+
+// Slab is an arena of T records with a generational free-list. The zero
+// value is not usable; use NewSlab or Sharded.
 type Slab[T any] struct {
 	shard  int
 	chunks [][]T
@@ -65,8 +103,14 @@ type Slab[T any] struct {
 	live int
 }
 
-// NewSlab returns an empty single-shard slab.
+// NewSlab returns an empty slab.
 func NewSlab[T any]() *Slab[T] { return &Slab[T]{} }
+
+// at returns the record stored in a slot.
+func (s *Slab[T]) at(slot uint32) *T {
+	c, off := locate(slot)
+	return &s.chunks[c][off]
+}
 
 // Alloc returns a handle to a zeroed record. The pointer stays valid until
 // Free is called on the handle.
@@ -77,14 +121,14 @@ func (s *Slab[T]) Alloc() (Handle, *T) {
 		s.free = s.free[:n-1]
 	} else {
 		slot = uint32(len(s.gens))
-		if int(slot)/chunkSize == len(s.chunks) {
-			s.chunks = append(s.chunks, make([]T, chunkSize))
+		if c, _ := locate(slot); int(c) == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, chunkLen(int(c))))
 		}
 		s.gens = append(s.gens, 0)
 	}
 	s.gens[slot]++ // even -> odd: live
 	s.live++
-	p := &s.chunks[slot/chunkSize][slot%chunkSize]
+	p := s.at(slot)
 	var zero T
 	*p = zero
 	return makeHandle(s.shard, slot, s.gens[slot]), p
@@ -107,19 +151,20 @@ func (s *Slab[T]) Get(h Handle) *T {
 	if g&1 == 0 || g&genMask != h.gen() {
 		return nil
 	}
-	return &s.chunks[slot/chunkSize][slot%chunkSize]
+	return s.at(slot)
 }
 
 // Free releases the slot behind a handle, zeroing the record so any heap
 // references it held (strings, slices) are released to the GC. It reports
 // whether the handle was live; freeing a stale or zero handle is a no-op.
 func (s *Slab[T]) Free(h Handle) bool {
-	if s.Get(h) == nil {
+	p := s.Get(h)
+	if p == nil {
 		return false
 	}
 	slot := h.slot()
 	var zero T
-	s.chunks[slot/chunkSize][slot%chunkSize] = zero
+	*p = zero
 	s.gens[slot]++ // odd -> even: free
 	s.live--
 	s.free = append(s.free, slot)
@@ -129,16 +174,24 @@ func (s *Slab[T]) Free(h Handle) bool {
 // Len returns the number of live records.
 func (s *Slab[T]) Len() int { return s.live }
 
-// Cap returns the total slot count across all chunks ever allocated.
+// Cap returns the number of slots ever handed out — live plus free. The
+// chunks behind them may hold more, not yet used, records.
 func (s *Slab[T]) Cap() int { return len(s.gens) }
 
 // FreeLen returns the current free-list depth.
 func (s *Slab[T]) FreeLen() int { return len(s.free) }
 
+// Audit returns the slab's occupancy accounting.
+func (s *Slab[T]) Audit() ShardAudit {
+	return ShardAudit{Shard: s.shard, Live: s.live, Free: len(s.free), Cap: len(s.gens)}
+}
+
 // Sharded is a fixed-fan-out set of slabs addressed through one Handle
 // space: the handle's shard bits route Get and Free to the owning shard.
-// Sharding here partitions storage (and lets audits localise a leak); the
-// owning node still serialises access under its own lock.
+// Sharding only partitions storage; it buys no concurrency, since the
+// owner still serialises every access under its own lock. The network
+// elements therefore keep one Slab per store — each shard's first insert
+// would otherwise pay for its own first chunk.
 type Sharded[T any] struct {
 	shards []Slab[T]
 }
@@ -196,11 +249,11 @@ func (s *Sharded[T]) Len() int {
 	return n
 }
 
-// ShardAudit is one shard's occupancy accounting. In a healthy slab
-// Cap == Live + Free on every shard; any difference means slots have been
-// lost to the free-list (a leak inside the slab itself, distinct from a
-// node forgetting to Free a handle, which shows up as Live exceeding the
-// node's own population count).
+// ShardAudit is one slab's occupancy accounting. In a healthy slab
+// Cap == Live + Free; any difference means slots have been lost to the
+// free-list (a leak inside the slab itself, distinct from a node
+// forgetting to Free a handle, which shows up as Live disagreeing with the
+// node's own index count — see Against).
 type ShardAudit struct {
 	Shard int
 	Live  int
@@ -209,8 +262,14 @@ type ShardAudit struct {
 }
 
 // Imbalance returns the number of slots unaccounted for in this shard.
-func (a ShardAudit) Imbalance() int {
-	d := a.Cap - a.Live - a.Free
+func (a ShardAudit) Imbalance() int { return abs(a.Cap - a.Live - a.Free) }
+
+// Against returns Imbalance plus the distance between Live and the number
+// of records the owner's index resolves: zero when the free-list balances
+// and every live record is indexed exactly once.
+func (a ShardAudit) Against(indexed int) int { return a.Imbalance() + abs(a.Live-indexed) }
+
+func abs(d int) int {
 	if d < 0 {
 		return -d
 	}
@@ -222,12 +281,7 @@ func (a ShardAudit) Imbalance() int {
 func (s *Sharded[T]) Audit() []ShardAudit {
 	out := make([]ShardAudit, len(s.shards))
 	for i := range s.shards {
-		out[i] = ShardAudit{
-			Shard: i,
-			Live:  s.shards[i].live,
-			Free:  len(s.shards[i].free),
-			Cap:   len(s.shards[i].gens),
-		}
+		out[i] = s.shards[i].Audit()
 	}
 	return out
 }

@@ -219,3 +219,78 @@ func TestHandleFields(t *testing.T) {
 			h.Shard(), h.slot(), h.gen())
 	}
 }
+
+// TestLocateMatchesReference checks the bit-arithmetic slot→chunk mapping
+// against a walk over the chunk lengths, for every slot of the doubling
+// chunks and of the first three fixed-size chunks after them.
+func TestLocateMatchesReference(t *testing.T) {
+	chunk, off := 0, 0
+	for slot := uint32(0); slot < growSlots+3*chunkSize; slot++ {
+		c, o := locate(slot)
+		if int(c) != chunk || int(o) != off {
+			t.Fatalf("locate(%d) = (%d, %d), want (%d, %d)", slot, c, o, chunk, off)
+		}
+		if off++; off == chunkLen(chunk) {
+			chunk, off = chunk+1, 0
+		}
+	}
+	if chunk != growChunks+3 {
+		t.Fatalf("walked %d chunks, want %d", chunk, growChunks+3)
+	}
+}
+
+// TestSlabChunkBoundaries fills a slab across every chunk boundary (16, 48,
+// 112, ..., 2032, 3056), then frees and reallocates every slot: each live
+// record keeps its address, and no handle of the first occupancy resolves
+// or frees once its slot is reused.
+func TestSlabChunkBoundaries(t *testing.T) {
+	s := NewSlab[rec]()
+	n := growSlots + 2*chunkSize + 1
+	handles := make([]Handle, n)
+	ptrs := make([]*rec, n)
+	for i := 0; i < n; i++ {
+		h, p := s.Alloc()
+		p.id = uint64(i)
+		handles[i], ptrs[i] = h, p
+		if c, _ := locate(uint32(i)); len(s.chunks) != int(c)+1 {
+			t.Fatalf("slot %d: %d chunks open, want %d", i, len(s.chunks), c+1)
+		}
+	}
+	for i, h := range handles {
+		if got := s.Get(h); got != ptrs[i] || got.id != uint64(i) {
+			t.Fatalf("record %d moved or changed: Get=%p want %p", i, got, ptrs[i])
+		}
+	}
+	for _, h := range handles {
+		s.Free(h)
+	}
+	for i := 0; i < n; i++ {
+		h, p := s.Alloc()
+		if h == handles[h.slot()] {
+			t.Fatalf("slot %d reissued its old handle", h.slot())
+		}
+		if p != ptrs[h.slot()] {
+			t.Fatalf("slot %d moved: %p want %p", h.slot(), p, ptrs[h.slot()])
+		}
+	}
+	for i, h := range handles {
+		if s.Get(h) != nil || s.Free(h) {
+			t.Fatalf("stale handle of slot %d resolved after reuse", i)
+		}
+	}
+	if a := s.Audit(); a.Against(n) != 0 || a.Cap != n {
+		t.Fatalf("audit %+v, want %d live of %d", a, n, n)
+	}
+}
+
+func TestSlabFirstAllocOneSmallChunk(t *testing.T) {
+	s := NewSlab[rec]()
+	if len(s.chunks) != 0 {
+		t.Fatalf("fresh slab holds %d chunks", len(s.chunks))
+	}
+	s.Alloc()
+	if len(s.chunks) != 1 || len(s.chunks[0]) != firstChunk || firstChunk != 16 {
+		t.Fatalf("first Alloc made chunks %d (first %d records), want one of 16",
+			len(s.chunks), len(s.chunks[0]))
+	}
+}

@@ -34,9 +34,6 @@ type MMContext struct {
 	Triplets []sigmap.AuthTriplet
 }
 
-// vlrShards is the slab fan-out; subscribers spread by identity hash.
-const vlrShards = 8
-
 // maxCachedTriplets bounds the per-subscriber auth-vector cache. The VLR
 // fetches 3 vectors per SendAuthenticationInfo, consumes one, and caches
 // the rest; without a bound, repeated re-registrations grow the cache
@@ -99,7 +96,7 @@ type VLR struct {
 	dm  *ss7.DialogueManager
 
 	mu       sync.Mutex
-	recs     *slab.Sharded[mmRec]
+	recs     *slab.Slab[mmRec]
 	byIMSI   *slab.Index[gsmid.PackedDigits]
 	byTMSI   *slab.Index[uint32]
 	names    slab.Syms[string]    // MSC node names
@@ -141,17 +138,12 @@ func New(cfg Config) *VLR {
 	return &VLR{
 		cfg:        cfg,
 		dm:         ss7.NewDialogueManager(),
-		recs:       slab.NewSharded[mmRec](vlrShards),
+		recs:       slab.NewSlab[mmRec](),
 		byIMSI:     slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		byTMSI:     slab.NewIndex[uint32](slab.HashUint32),
 		msrn:       make(map[gsmid.MSISDN]gsmid.IMSI),
 		pendingULA: make(map[ulaKey]struct{}),
 	}
-}
-
-// shardOf routes a subscriber to its slab shard by identity hash.
-func shardOf(p gsmid.PackedDigits) int {
-	return int(p.Hash() & (vlrShards - 1))
 }
 
 // lookupRec resolves an IMSI to its slab record. Callers hold v.mu.
@@ -167,7 +159,7 @@ func (v *VLR) getOrCreateRec(imsi gsmid.IMSI) *mmRec {
 	if r := v.recs.Get(v.byIMSI.Get(packed)); r != nil {
 		return r
 	}
-	h, r := v.recs.Alloc(shardOf(packed))
+	h, r := v.recs.Alloc()
 	r.imsi = packed
 	v.byIMSI.Put(packed, h)
 	return r
@@ -232,28 +224,25 @@ func (v *VLR) OutstandingMSRNs() int {
 	return len(v.msrn)
 }
 
-// SlabImbalance audits the slab storage: per-shard occupancy must balance
-// (cap == live + free) and every index entry must resolve to a live record
-// that agrees with the key. Non-zero means a context leaked out of — or
+// SlabImbalance audits the slab storage: occupancy must balance (cap ==
+// live + free), every index entry must resolve to a live record that
+// agrees with the key, and the IMSI index must reach every live record. Non-zero means a context leaked out of — or
 // was lost by — the slab; the soak/leak gates assert zero the same way
 // they assert empty residuals.
 func (v *VLR) SlabImbalance() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	imb := 0
-	perShard := make([]int, vlrShards)
+	indexed := 0
 	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		r := v.recs.Get(h)
-		if r == nil || r.imsi != k {
+		if r := v.recs.Get(h); r == nil || r.imsi != k {
 			imb++
-			return true
+		} else {
+			indexed++
 		}
-		perShard[h.Shard()]++
 		return true
 	})
-	for _, a := range v.recs.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
-	}
+	imb += v.recs.Audit().Against(indexed)
 	v.byTMSI.Range(func(k uint32, h slab.Handle) bool {
 		if r := v.recs.Get(h); r == nil || uint32(r.tmsi) != k {
 			imb++
@@ -261,13 +250,6 @@ func (v *VLR) SlabImbalance() int {
 		return true
 	})
 	return imb
-}
-
-func abs(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
 }
 
 // Receive implements sim.Node.

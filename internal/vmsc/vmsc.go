@@ -44,10 +44,6 @@ const (
 	NSAPIVoice      uint8 = 6
 )
 
-// mscShards is the MS-table slab fan-out. Entries route by IMSI hash; the
-// per-shard audits localise a leak to one shard.
-const mscShards = 8
-
 // HandoverTarget names the legacy MSC (and its BTS, standing in for the
 // radio channel description) serving a neighbour cell.
 type HandoverTarget struct {
@@ -138,7 +134,7 @@ type VMSC struct {
 	// that outlives a procedure step (calls, RAS transactions, paging
 	// timers) references the row by generational Handle instead, so a
 	// freed subscriber can never be resurrected through a stale pointer.
-	ents     *slab.Sharded[msEntry]
+	ents     *slab.Slab[msEntry]
 	byIMSI   *slab.Index[gsmid.PackedDigits]
 	byMS     *slab.Index[sim.NodeID]
 	byMSISDN *slab.Index[gsmid.PackedDigits]
@@ -398,7 +394,7 @@ func New(cfg Config) *VMSC {
 	v := &VMSC{
 		cfg:        cfg,
 		dm:         ss7.NewDialogueManager(),
-		ents:       slab.NewSharded[msEntry](mscShards),
+		ents:       slab.NewSlab[msEntry](),
 		byIMSI:     slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		byMS:       slab.NewIndex[sim.NodeID](hashNodeID),
 		byMSISDN:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
@@ -432,7 +428,7 @@ func (v *VMSC) getOrCreateEntry(imsi gsmid.IMSI) *msEntry {
 	if e := v.ents.Get(v.byIMSI.Get(key)); e != nil {
 		return e
 	}
-	h, e := v.ents.Alloc(int(key.Hash() & (mscShards - 1)))
+	h, e := v.ents.Alloc()
 	e.v, e.self, e.imsi, e.imsiKey = v, h, imsi, key
 	v.byIMSI.Put(key, h)
 	return e
@@ -547,26 +543,23 @@ func (v *VMSC) PendingTransactions() int {
 	return n
 }
 
-// SlabImbalance audits the MS-table storage: per-shard occupancy must
-// balance (cap == live + free) and every index entry must resolve to a
-// live row that agrees with the key. Non-zero means a row leaked out of —
+// SlabImbalance audits the MS-table storage: slab occupancy must balance
+// (cap == live + free), every index entry must resolve to a live row that
+// agrees with the key, and the IMSI index must reach every live row. Non-zero means a row leaked out of —
 // or was lost by — the slab; the soak/leak gates assert zero alongside the
 // transient residuals.
 func (v *VMSC) SlabImbalance() int {
 	imb := 0
-	perShard := make([]int, mscShards)
+	indexed := 0
 	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		e := v.ents.Get(h)
-		if e == nil || e.imsiKey != k {
+		if e := v.ents.Get(h); e == nil || e.imsiKey != k {
 			imb++
-			return true
+		} else {
+			indexed++
 		}
-		perShard[h.Shard()]++
 		return true
 	})
-	for _, a := range v.ents.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
+	imb += v.ents.Audit().Against(indexed)
 	v.byMS.Range(func(k sim.NodeID, h slab.Handle) bool {
 		if e := v.ents.Get(h); e == nil || e.ms != k {
 			imb++
@@ -580,13 +573,6 @@ func (v *VMSC) SlabImbalance() int {
 		return true
 	})
 	return imb
-}
-
-func absInt(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
 }
 
 // staticAddrFor returns the provisioned static PDP address for an IMSI in
